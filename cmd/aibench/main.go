@@ -1,6 +1,6 @@
-// Command aibench runs the reproduction's experiment suite (E1..E18,
-// see DESIGN.md and EXPERIMENTS.md) and prints the comparison tables
-// and per-query curves each experiment produces.
+// Command aibench runs the reproduction's experiment suite (see
+// EXPERIMENTS.md; -list names every experiment) and prints the
+// comparison tables and per-query curves each experiment produces.
 //
 // Usage:
 //
@@ -32,8 +32,9 @@ func main() {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("aibench", flag.ContinueOnError)
+	all := experiments.All()
 	var (
-		exp         = fs.String("exp", "all", "experiment id (E1..E16) or 'all'")
+		exp         = fs.String("exp", "all", fmt.Sprintf("experiment id (%s..%s) or 'all'", all[0].ID, all[len(all)-1].ID))
 		list        = fs.Bool("list", false, "list available experiments and exit")
 		n           = fs.Int("n", 1_000_000, "number of tuples")
 		queries     = fs.Int("queries", 1000, "number of queries")
@@ -46,7 +47,7 @@ func run(args []string, out *os.File) error {
 	}
 
 	if *list {
-		for _, def := range experiments.All() {
+		for _, def := range all {
 			fmt.Fprintf(out, "%-5s %s\n", def.ID, def.Title)
 		}
 		return nil
@@ -62,7 +63,7 @@ func run(args []string, out *os.File) error {
 
 	var defs []experiments.Definition
 	if strings.EqualFold(*exp, "all") {
-		defs = experiments.All()
+		defs = all
 	} else {
 		def, ok := experiments.Lookup(*exp)
 		if !ok {

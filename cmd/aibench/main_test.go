@@ -54,8 +54,10 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestUnknownExperiment(t *testing.T) {
 	f := captureFile(t)
-	if err := run([]string{"-exp", "E99"}, f); err == nil {
-		t.Fatal("expected an error for an unknown experiment")
+	for _, id := range []string{"E99", "E19"} { // E19 is retired
+		if err := run([]string{"-exp", id}, f); err == nil {
+			t.Fatalf("expected an error for unknown experiment %s", id)
+		}
 	}
 }
 

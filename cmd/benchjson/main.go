@@ -14,9 +14,9 @@
 // about: selection cracking, sideways cracking, the PathAuto planner
 // on a drifting select-project workload, the write path under every
 // merge policy (E16's mixed read/write stream), the bytes the two
-// wire encodings put on the wire for identical select-project results
-// (E17), and the scatter-gather shard cluster's summed work at 1, 2
-// and 4 shards (per-shard counters are deterministic, so their sum is
+// wire encodings put on the wire for identical select-project results,
+// and the scatter-gather shard cluster's summed work at 1, 2 and 4
+// shards (per-shard counters are deterministic, so their sum is
 // too — and the one-shard total is asserted equal to the bare
 // engine's), the epoch read path at readers=1, asserted
 // byte-identical to the bare cracking engine (the contract under which
@@ -24,14 +24,12 @@
 // a single backend, also asserted byte-identical to the bare engine
 // (the N=1 routing identity). The run configuration is
 // pinned inside the tool and recorded in the JSON; comparing files
-// with different configurations is an error, not a pass.
-//
-// Each run also records wall-clock section timings under "timings_ms".
-// They are context for a human reading the file — machine-dependent by
-// nature, so the gate never compares them.
+// with different configurations is an error, not a pass. Wall-clock
+// measurements live in benchmark/, never here.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -40,7 +38,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
-	"time"
 
 	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
@@ -51,6 +48,7 @@ import (
 	"adaptiveindex/internal/server"
 	"adaptiveindex/internal/shard"
 	"adaptiveindex/internal/trace"
+	"adaptiveindex/internal/wire"
 	"adaptiveindex/internal/workload"
 )
 
@@ -69,14 +67,12 @@ var pinnedConfig = experiments.Config{
 // incompatible metric set.
 const fileFormat = 1
 
-// Report is the on-disk JSON shape. Metrics are deterministic and
-// gated; Timings are wall-clock milliseconds per section, recorded for
-// context and never compared.
+// Report is the on-disk JSON shape. Every metric is deterministic and
+// gated.
 type Report struct {
 	Format  int                `json:"format"`
 	Config  experiments.Config `json:"config"`
 	Metrics map[string]uint64  `json:"metrics"`
-	Timings map[string]float64 `json:"timings_ms,omitempty"`
 }
 
 func main() {
@@ -98,8 +94,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-threshold must be >= 0")
 	}
 
-	metrics, timings := collect(pinnedConfig)
-	report := Report{Format: fileFormat, Config: pinnedConfig, Metrics: metrics, Timings: timings}
+	report := Report{Format: fileFormat, Config: pinnedConfig, Metrics: collect(pinnedConfig)}
 
 	names := make([]string, 0, len(report.Metrics))
 	for name := range report.Metrics {
@@ -108,14 +103,6 @@ func run(args []string, out io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		fmt.Fprintf(out, "%-40s %d\n", name, report.Metrics[name])
-	}
-	tnames := make([]string, 0, len(report.Timings))
-	for name := range report.Timings {
-		tnames = append(tnames, name)
-	}
-	sort.Strings(tnames)
-	for _, name := range tnames {
-		fmt.Fprintf(out, "%-40s %.1f ms (wall, not gated)\n", name, report.Timings[name])
 	}
 
 	if *outPath != "" {
@@ -139,18 +126,10 @@ func run(args []string, out io.Writer) error {
 }
 
 // collect runs the pinned benchmark subset and extracts the tracked
-// counters, plus per-section wall-clock timings. Every counter is
-// seeded and scored on logical work, so repeated runs emit
-// byte-identical metrics; the timings vary with the machine and are
-// returned separately so they never enter the gate.
-func collect(cfg experiments.Config) (map[string]uint64, map[string]float64) {
+// counters. Every counter is seeded and scored on logical work, so
+// repeated runs emit byte-identical metrics.
+func collect(cfg experiments.Config) map[string]uint64 {
 	m := make(map[string]uint64)
-	timings := make(map[string]float64)
-	timed := func(name string, fn func()) {
-		t0 := time.Now()
-		fn()
-		timings[name] = float64(time.Since(t0).Microseconds()) / 1000
-	}
 
 	// Static access paths on the uniform read-only workload.
 	queries := workload.Queries(
@@ -161,13 +140,11 @@ func collect(cfg experiments.Config) (map[string]uint64, map[string]float64) {
 		if path == engine.PathScan {
 			project = nil // scan totals are dominated by the scan itself
 		}
-		timed(path.String(), func() {
-			for _, r := range queries {
-				if _, err := eng.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: project, Path: path}); err != nil {
-					panic(err)
-				}
+		for _, r := range queries {
+			if _, err := eng.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: project, Path: path}); err != nil {
+				panic(err)
 			}
-		})
+		}
 		c := eng.Cost()
 		m[path.String()+"_total_work"] = c.Total()
 		m[path.String()+"_recurring"] = c.Recurring()
@@ -185,19 +162,15 @@ func collect(cfg experiments.Config) (map[string]uint64, map[string]float64) {
 		workload.NewDriftingHotSet(cfg.Seed+15, 0, column.Value(cfg.Domain), cfg.Selectivity, 0.1, 16, 1.3, shiftEvery),
 		cfg.Queries)
 	eng := benchEngine(cfg)
-	timed("planner_auto", func() {
-		for _, r := range drift {
-			if _, err := eng.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathAuto}); err != nil {
-				panic(err)
-			}
+	for _, r := range drift {
+		if _, err := eng.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathAuto}); err != nil {
+			panic(err)
 		}
-	})
+	}
 	m["planner_auto_total_work"] = eng.Cost().Total()
 
 	// The write path: E16's mixed read/write stream per merge policy.
-	var outcomes []experiments.E16Outcome
-	var identical bool
-	timed("updates", func() { outcomes, identical = experiments.RunE16(cfg) })
+	outcomes, identical := experiments.RunE16(cfg)
 	if !identical {
 		panic("benchjson: merge policies disagreed on read results")
 	}
@@ -212,45 +185,38 @@ func collect(cfg experiments.Config) (map[string]uint64, map[string]float64) {
 	// stream. The committed baseline is 0 and compare() fails any
 	// positive value against a zero baseline, so a tracing hook that
 	// perturbs the engine's work by even one counter tick fails CI.
-	timed("trace_overhead", func() {
-		bare := benchEngine(cfg)
-		for _, r := range queries {
-			if _, err := bare.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathCracking}); err != nil {
-				panic(err)
-			}
+	bare := benchEngine(cfg)
+	for _, r := range queries {
+		if _, err := bare.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathCracking}); err != nil {
+			panic(err)
 		}
-		traced := benchEngine(cfg)
-		traced.SetEventLog(trace.NewLog(256))
-		for _, r := range queries {
-			rec := trace.NewRecorder()
-			if _, err := traced.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathCracking, Trace: rec}); err != nil {
-				panic(err)
-			}
-			rec.Finish()
+	}
+	traced := benchEngine(cfg)
+	traced.SetEventLog(trace.NewLog(256))
+	for _, r := range queries {
+		rec := trace.NewRecorder()
+		if _, err := traced.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathCracking, Trace: rec}); err != nil {
+			panic(err)
 		}
-		b, tr := bare.Cost().Total(), traced.Cost().Total()
-		diff := b - tr
-		if tr > b {
-			diff = tr - b
-		}
-		m["trace_overhead_work"] = diff
-	})
+		rec.Finish()
+	}
+	b, tr := bare.Cost().Total(), traced.Cost().Total()
+	diff := b - tr
+	if tr > b {
+		diff = tr - b
+	}
+	m["trace_overhead_work"] = diff
 
-	// Bytes on the wire: the deterministic half of E17 — identical
-	// select-project results encoded as JSON and as the binary columnar
-	// format. Gating both totals pins the size win: a codec change that
-	// bloats the binary encoding past the threshold fails CI.
-	timed("wire_encode", func() {
-		jsonBytes, binBytes := experiments.WireBytes(cfg)
-		m["wire_selectproject_json_bytes"] = jsonBytes
-		m["wire_selectproject_binary_bytes"] = binBytes
-	})
+	// Bytes on the wire: identical select-project results encoded as
+	// JSON and as the binary columnar format. Gating both totals pins the
+	// size win: a codec change that bloats the binary encoding past the
+	// threshold fails CI.
+	m["wire_selectproject_json_bytes"], m["wire_selectproject_binary_bytes"] = wireBytes(cfg)
 
 	// Scatter-gather sharding: the same cracking stream through a
 	// row-striped cluster at 1, 2 and 4 shards. Per-shard counters are
 	// deterministic and their sum is scheduling-independent, so the
-	// totals gate cleanly; the wall timings show the concurrency but
-	// never enter the gate. A one-shard cluster must be the identity —
+	// totals gate cleanly. A one-shard cluster must be the identity —
 	// its total matching the bare cracking engine's is asserted here,
 	// not merely gated.
 	for _, shards := range []int{1, 2, 4} {
@@ -258,15 +224,12 @@ func collect(cfg experiments.Config) (map[string]uint64, map[string]float64) {
 		if err != nil {
 			panic(err)
 		}
-		name := fmt.Sprintf("sharded_%d", shards)
-		timed(name, func() {
-			for _, r := range queries {
-				if _, err := cl.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathCracking}); err != nil {
-					panic(err)
-				}
+		for _, r := range queries {
+			if _, err := cl.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathCracking}); err != nil {
+				panic(err)
 			}
-		})
-		m[name+"_total_work"] = cl.Cost().Total()
+		}
+		m[fmt.Sprintf("sharded_%d_total_work", shards)] = cl.Cost().Total()
 	}
 	if m["sharded_1_total_work"] != m["cracking_total_work"] {
 		panic(fmt.Sprintf("benchjson: one-shard cluster work %d diverges from the bare engine's %d",
@@ -277,19 +240,12 @@ func collect(cfg experiments.Config) (map[string]uint64, map[string]float64) {
 	// at Readers=1 must leave the deterministic counters byte-identical
 	// to the bare engine's — readers<=1 is the contract under which the
 	// epoch machinery stays fully disengaged. The equality is asserted
-	// here, not merely gated. A Readers=4 replay then records the epoch
-	// pool's wall time and the reorganiser's final lag as timings only:
-	// both depend on core count and scheduling, so they never gate.
-	timed("epoch_readers_1", func() {
-		m["epoch_read_total_work"] = epochReplay(cfg, 1, queries, timings)
-	})
+	// here, not merely gated.
+	m["epoch_read_total_work"] = epochReplay(cfg, queries)
 	if m["epoch_read_total_work"] != m["cracking_total_work"] {
 		panic(fmt.Sprintf("benchjson: readers=1 service work %d diverges from the bare engine's %d",
 			m["epoch_read_total_work"], m["cracking_total_work"]))
 	}
-	timed("epoch_readers_4", func() {
-		epochReplay(cfg, 4, queries, timings)
-	})
 
 	// Multi-node routing: the same cracking stream through crackrouter
 	// over a single in-process backend. A one-node router is the
@@ -297,14 +253,12 @@ func collect(cfg experiments.Config) (map[string]uint64, map[string]float64) {
 	// total must be byte-identical to the bare cracking engine's. The
 	// equality is asserted here, not merely gated: any routing-layer
 	// change that perturbs what the backend executes fails CI.
-	timed("routed_1", func() {
-		m["routed_1_total_work"] = routedReplay(cfg, queries)
-	})
+	m["routed_1_total_work"] = routedReplay(cfg, queries)
 	if m["routed_1_total_work"] != m["cracking_total_work"] {
 		panic(fmt.Sprintf("benchjson: one-node router work %d diverges from the bare engine's %d",
 			m["routed_1_total_work"], m["cracking_total_work"]))
 	}
-	return m, timings
+	return m
 }
 
 // routedReplay drives the pinned cracking stream through a Router over
@@ -362,15 +316,14 @@ func routedReplay(cfg experiments.Config, queries []column.Range) uint64 {
 }
 
 // epochReplay drives the pinned cracking stream through a direct-mode
-// service at the given read concurrency and returns the engine's
-// deterministic work total. Above one reader it also records the
-// reorganiser's final lag under "epoch_reorg_lag" in the timings map.
-func epochReplay(cfg experiments.Config, readers int, queries []column.Range, timings map[string]float64) uint64 {
+// service at Readers=1 and returns the engine's deterministic work
+// total.
+func epochReplay(cfg experiments.Config, queries []column.Range) uint64 {
 	svc, err := server.NewService(server.Config{
 		Engine:       benchEngine(cfg),
 		DefaultTable: "data",
 		DefaultPath:  "cracking",
-		Readers:      readers,
+		Readers:      1,
 	})
 	if err != nil {
 		panic(err)
@@ -385,11 +338,42 @@ func epochReplay(cfg experiments.Config, readers int, queries []column.Range, ti
 		}
 	}
 	svc.Close()
-	st := svc.Stats()
-	if readers > 1 && st.Reorg != nil {
-		timings["epoch_reorg_lag"] = float64(st.Reorg.LagUs) / 1000
+	return svc.Stats().WorkTotal
+}
+
+// wireBytes replays a pinned select-project stream on a fresh engine
+// and returns the total response-body bytes the JSON and the binary
+// columnar encodings put on the wire for identical results. Both sides
+// encode the same engine results with a pinned latency field, so the
+// totals are deterministic given cfg.
+func wireBytes(cfg experiments.Config) (jsonBytes, binaryBytes uint64) {
+	eng := benchEngine(cfg)
+	queries := workload.Queries(
+		workload.NewUniform(cfg.Seed+17, 0, column.Value(cfg.Domain), cfg.Selectivity), cfg.Queries)
+	for _, r := range queries {
+		res, err := eng.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathCracking})
+		if err != nil {
+			panic(err)
+		}
+		jb, err := json.Marshal(api.QueryResponse{
+			Count:   res.Count,
+			Rows:    res.Rows,
+			Columns: res.Columns,
+			Path:    res.Path.String(),
+		})
+		if err != nil {
+			panic(err)
+		}
+		// +1 for the newline json.Encoder appends on the real wire.
+		jsonBytes += uint64(len(jb)) + 1
+		var buf bytes.Buffer
+		h := wire.Header{Count: res.Count, Path: res.Path.String(), Columns: []string{"c1"}}
+		if err := wire.Encode(&buf, h, res.Rows, [][]column.Value{res.Columns["c1"]}, 0, 0); err != nil {
+			panic(err)
+		}
+		binaryBytes += uint64(buf.Len())
 	}
-	return st.WorkTotal
+	return jsonBytes, binaryBytes
 }
 
 // benchCatalog builds the same two-column catalog as benchEngine, for

@@ -85,7 +85,7 @@ func getStats(t *testing.T, url string) server.Stats {
 	return st
 }
 
-func postJSON(t *testing.T, url, body string) server.QueryResponse {
+func postJSON(t *testing.T, url, body string) api.QueryResponse {
 	t.Helper()
 	resp, err := http.Post(url+"/query", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -97,7 +97,7 @@ func postJSON(t *testing.T, url, body string) server.QueryResponse {
 		buf.ReadFrom(resp.Body)
 		t.Fatalf("%s: status %d: %s", body, resp.StatusCode, buf.String())
 	}
-	var qr server.QueryResponse
+	var qr api.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestKillRestartCycle(t *testing.T) {
 	}
 }
 
-func postUpdate(t *testing.T, url, body string) server.UpdateResponse {
+func postUpdate(t *testing.T, url, body string) api.UpdateResponse {
 	t.Helper()
 	resp, err := http.Post(url+"/update", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -225,7 +225,7 @@ func postUpdate(t *testing.T, url, body string) server.UpdateResponse {
 		buf.ReadFrom(resp.Body)
 		t.Fatalf("%s: status %d: %s", body, resp.StatusCode, buf.String())
 	}
-	var ur server.UpdateResponse
+	var ur api.UpdateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
 		t.Fatal(err)
 	}

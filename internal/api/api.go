@@ -6,9 +6,9 @@
 // The shapes used to live as private structs in internal/server's HTTP
 // layer, re-declared ad hoc by crackload; a third consumer — the
 // multi-node router — made that untenable. They live here now, consumed
-// by the server (which aliases them), by crackload, and by
-// internal/router, so there is exactly one definition of the wire
-// surface and exactly one HTTP-consumer code path (Client).
+// by the server, by crackload, and by internal/router, so there is
+// exactly one definition of the wire surface and exactly one
+// HTTP-consumer code path (Client).
 //
 // Versioning: every request may carry "v"; absent means v1. Servers
 // reject unknown versions and unknown fields with a clear error naming

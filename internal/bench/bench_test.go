@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"adaptiveindex/internal/baseline"
 	"adaptiveindex/internal/column"
@@ -188,8 +187,4 @@ func TestHarnessWithRealIndexes(t *testing.T) {
 	if sCrack.TotalWork().Total() >= sScan.TotalWork().Total() {
 		t.Fatal("cracking must beat scanning in total work over 300 queries")
 	}
-	if s := sCrack.TotalWall(); s <= 0 {
-		t.Fatalf("wall time must be positive, got %v", s)
-	}
-	_ = time.Now()
 }

@@ -74,8 +74,9 @@ type Config struct {
 	// Timeout bounds each backend request (default 5s).
 	Timeout time.Duration
 	// Retries is how many times an idempotent read against one node is
-	// retried after its first failure (default 2); RetryBackoff is the
-	// initial backoff, doubled per retry (default 25ms).
+	// retried after its first failure (zero or negative: no retries;
+	// crackrouter's -retries defaults to 2); RetryBackoff is the initial
+	// backoff, doubled per retry (default 25ms).
 	Retries      int
 	RetryBackoff time.Duration
 	// ProbeInterval is the health-probe cadence (default 250ms);

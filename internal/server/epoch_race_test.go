@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 )
 
@@ -61,14 +62,14 @@ func TestEpochReadersRaceWithWrites(t *testing.T) {
 					default:
 					}
 					v := column.Value(n/2 + rng.Intn(n/2))
-					rep, err := svc.Apply([]WriteOp{{Table: "data", Insert: [][]column.Value{{v, v, v}}}})
+					rep, err := svc.Apply([]api.WriteOp{{Table: "data", Insert: [][]column.Value{{v, v, v}}}})
 					if err == nil {
 						mine = append(mine, rep.Inserted...)
 					}
 					if len(mine) > 8 {
 						row := mine[0]
 						mine = mine[1:]
-						svc.Apply([]WriteOp{{Table: "data", Delete: []column.RowID{row}}})
+						svc.Apply([]api.WriteOp{{Table: "data", Delete: []column.RowID{row}}})
 					}
 				}
 			}()

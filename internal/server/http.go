@@ -16,35 +16,15 @@ import (
 	"adaptiveindex/internal/wire"
 )
 
-// The wire DTOs live in internal/api — the shared, versioned contract
-// every HTTP consumer (this server, crackload, the multi-node router)
-// speaks. The server aliases them so existing call sites and tests
-// keep compiling against server.QueryRequest and friends.
-type (
-	// QueryRequest is the wire form of one query (see api.QueryRequest).
-	QueryRequest = api.QueryRequest
-	// QueryResponse is the wire form of a query result.
-	QueryResponse = api.QueryResponse
-	// UpdateOp is the wire form of one mutation.
-	UpdateOp = api.UpdateOp
-	// UpdateRequest is the wire form of one write request.
-	UpdateRequest = api.UpdateRequest
-	// UpdateResponse is the wire form of a write result.
-	UpdateResponse = api.UpdateResponse
-)
-
-// errorResponse is the wire form of a failure.
-type errorResponse = api.ErrorResponse
-
 // toQuery converts the wire form to the service-level query.
-func toQuery(q QueryRequest) Query {
+func toQuery(q api.QueryRequest) Query {
 	return Query{Table: q.Table, Column: q.Column, R: q.Range(), Project: q.Project, Path: q.Path}
 }
 
 // Handler returns the service's HTTP surface:
 //
-//	POST /query         answer one query (see QueryRequest)
-//	POST /update        apply inserts/deletes (see UpdateRequest)
+//	POST /query         answer one query (see api.QueryRequest)
+//	POST /update        apply inserts/deletes (see api.UpdateRequest)
 //	GET  /stats         observable service + catalog + planner state (see Stats)
 //	GET  /metrics       Prometheus text exposition of the same counters
 //	GET  /debug/events  reorganisation event log (cursor: ?since=seq)
@@ -82,7 +62,7 @@ func (s *Service) methodGate(method string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
 			w.Header().Set("Allow", method)
-			s.writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: method + " required"})
+			s.writeJSON(w, http.StatusMethodNotAllowed, api.ErrorResponse{Error: method + " required"})
 			return
 		}
 		h(w, r)
@@ -92,12 +72,12 @@ func (s *Service) methodGate(method string, h http.HandlerFunc) http.Handler {
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	u, err := api.DecodeUpdate(r.Body)
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("invalid update: %v", err)})
+		s.writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: fmt.Sprintf("invalid update: %v", err)})
 		return
 	}
 	ops, err := u.WriteOps()
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
 		return
 	}
 	start := time.Now()
@@ -108,13 +88,13 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// it — a client that loses the assigned row identifiers can
 		// never reconcile its bookkeeping with the server again.
 		s.writeJSON(w, statusFor(err), struct {
-			errorResponse
+			api.ErrorResponse
 			Inserted []column.RowID `json:"inserted,omitempty"`
 			Deleted  int            `json:"deleted"`
-		}{errorResponse{Error: err.Error()}, reply.Inserted, reply.Deleted})
+		}{api.ErrorResponse{Error: err.Error()}, reply.Inserted, reply.Deleted})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, UpdateResponse{
+	s.writeJSON(w, http.StatusOK, api.UpdateResponse{
 		Inserted:       reply.Inserted,
 		Deleted:        reply.Deleted,
 		PendingInserts: reply.PendingInserts,
@@ -126,7 +106,7 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // wantTrace reports whether the request asked for a phase span tree:
 // "trace":true in the body, or an X-Crack-Trace header (any value but
 // "0" and "false").
-func wantTrace(q QueryRequest, r *http.Request) bool {
+func wantTrace(q api.QueryRequest, r *http.Request) bool {
 	if q.Trace {
 		return true
 	}
@@ -141,7 +121,7 @@ func wantTrace(q QueryRequest, r *http.Request) bool {
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, err := api.DecodeQuery(r.Body)
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("invalid query: %v", err)})
+		s.writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: fmt.Sprintf("invalid query: %v", err)})
 		return
 	}
 	binary, blockRows := wire.Negotiate(r.Header.Get("Accept"))
@@ -157,13 +137,13 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case "select":
 		reply, err = s.do(opSelect, toQuery(q), rec)
 	default:
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown op %q (want count or select)", q.Op)})
+		s.writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: fmt.Sprintf("unknown op %q (want count or select)", q.Op)})
 		return
 	}
 	if err != nil {
 		// Failures are always JSON, whatever the client negotiated:
 		// error bodies are for humans and logs, not column decoders.
-		s.writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
+		s.writeJSON(w, statusFor(err), api.ErrorResponse{Error: err.Error()})
 		return
 	}
 	if reply.Done != nil {
@@ -175,7 +155,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeBinary(w, q, reply, blockRows, start, rec)
 		return
 	}
-	resp := QueryResponse{
+	resp := api.QueryResponse{
 		Count:     reply.Count,
 		Rows:      reply.Rows,
 		Columns:   reply.Columns,
@@ -193,14 +173,14 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	body, err := json.Marshal(resp)
 	rec.End(trace.Work{})
 	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error()})
 		return
 	}
 	root := rec.Finish()
 	s.observePhases(root)
 	spanJSON, err := json.Marshal(root)
 	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error()})
 		return
 	}
 	spliced := make([]byte, 0, len(body)+len(spanJSON)+16)
@@ -227,7 +207,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 // For traced queries (rec non-nil) the header and block encoding is
 // timed as the wire_encode phase and the finished span tree rides in a
 // trace frame between the last block and the footer.
-func (s *Service) writeBinary(w http.ResponseWriter, q QueryRequest, reply Reply, blockRows int, start time.Time, rec *trace.Recorder) {
+func (s *Service) writeBinary(w http.ResponseWriter, q api.QueryRequest, reply Reply, blockRows int, start time.Time, rec *trace.Recorder) {
 	w.Header().Set("Content-Type", wire.ContentType)
 	enc := wire.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
@@ -314,7 +294,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("invalid since: %v", err)})
+			s.writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: fmt.Sprintf("invalid since: %v", err)})
 			return
 		}
 		since = n
@@ -322,7 +302,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid max: want a non-negative integer"})
+			s.writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "invalid max: want a non-negative integer"})
 			return
 		}
 		max = n

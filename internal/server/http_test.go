@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 )
 
@@ -40,11 +41,11 @@ func TestHTTPQueryCount(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var qr QueryResponse
+	var qr api.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	want := refCount(vals, QueryRequest{Low: i64(100), High: i64(900)}.Range())
+	want := refCount(vals, api.QueryRequest{Low: i64(100), High: i64(900)}.Range())
 	if qr.Count != want {
 		t.Fatalf("count %d, want %d", qr.Count, want)
 	}
@@ -63,14 +64,14 @@ func TestHTTPQuerySelectProject(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var qr QueryResponse
+	var qr api.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
 	if qr.Count != len(qr.Rows) {
 		t.Fatalf("count %d but %d rows", qr.Count, len(qr.Rows))
 	}
-	r := QueryRequest{Low: i64(5000), High: i64(5200)}.Range()
+	r := api.QueryRequest{Low: i64(5000), High: i64(5200)}.Range()
 	if want := refCount(vals, r); qr.Count != want {
 		t.Fatalf("count %d, want %d", qr.Count, want)
 	}
@@ -97,19 +98,19 @@ func TestHTTPQueryOneSidedAndInclusive(t *testing.T) {
 	_, ts, vals := newHTTPFixture(t)
 	cases := []struct {
 		body string
-		want QueryRequest
+		want api.QueryRequest
 	}{
-		{`{"high":100}`, QueryRequest{High: i64(100)}},
-		{`{"low":19000}`, QueryRequest{Low: i64(19000)}},
-		{`{"low":50,"high":50,"incHigh":true}`, QueryRequest{Low: i64(50), High: i64(50), IncHigh: b(true)}},
-		{`{}`, QueryRequest{}},
+		{`{"high":100}`, api.QueryRequest{High: i64(100)}},
+		{`{"low":19000}`, api.QueryRequest{Low: i64(19000)}},
+		{`{"low":50,"high":50,"incHigh":true}`, api.QueryRequest{Low: i64(50), High: i64(50), IncHigh: b(true)}},
+		{`{}`, api.QueryRequest{}},
 	}
 	for _, c := range cases {
 		resp, body := postQuery(t, ts.URL, c.body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", c.body, resp.StatusCode, body)
 		}
-		var qr QueryResponse
+		var qr api.QueryResponse
 		if err := json.Unmarshal(body, &qr); err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/trace"
 	"adaptiveindex/internal/wire"
@@ -196,11 +197,11 @@ func TestHTTPTracedQueryJSON(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var qr QueryResponse
+	var qr api.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	if want := refCount(vals, QueryRequest{Low: i64(100), High: i64(2000)}.Range()); qr.Count != want {
+	if want := refCount(vals, api.QueryRequest{Low: i64(100), High: i64(2000)}.Range()); qr.Count != want {
 		t.Fatalf("count %d, want %d", qr.Count, want)
 	}
 	if len(qr.Trace) == 0 {
@@ -244,7 +245,7 @@ func TestHTTPTraceHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr QueryResponse
+	var qr api.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}

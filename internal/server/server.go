@@ -161,11 +161,6 @@ type Reply struct {
 	Done func()
 }
 
-// WriteOp is one resolved mutation against the engine: rows to insert
-// (one value per table column each) or row identifiers to delete.
-// Exactly one of Insert and Delete is non-empty.
-type WriteOp = api.WriteOp
-
 // WriteReply is the answer to one write request.
 type WriteReply struct {
 	// Inserted holds the row identifiers assigned to inserted rows, in
@@ -193,8 +188,8 @@ const (
 // request is one query in flight through the scheduler.
 type request struct {
 	op       op
-	q        engine.Query // fully resolved: defaults applied, path parsed
-	writes   []WriteOp    // opWrite only
+	q        engine.Query  // fully resolved: defaults applied, path parsed
+	writes   []api.WriteOp // opWrite only
 	enqueued time.Time
 	// dequeued is when the executor pulled the request off the queue
 	// (the end of its queue-wait, the start of its batch-assembly wait).
@@ -441,7 +436,7 @@ var ErrEmptyWrite = errors.New("server: write op needs either rows to insert or 
 // An empty table name falls back to the service default. Ops apply in
 // order; on error the already-applied prefix stays applied and the
 // error is returned.
-func (s *Service) Apply(ops []WriteOp) (WriteReply, error) {
+func (s *Service) Apply(ops []api.WriteOp) (WriteReply, error) {
 	if len(ops) == 0 {
 		return WriteReply{}, ErrEmptyWrite
 	}
@@ -499,7 +494,7 @@ func (s *Service) Apply(ops []WriteOp) (WriteReply, error) {
 
 // executeWrite applies one write request against the executor
 // directly.
-func (s *Service) executeWrite(ops []WriteOp) result {
+func (s *Service) executeWrite(ops []api.WriteOp) result {
 	var reply WriteReply
 	for _, op := range ops {
 		for _, vals := range op.Insert {

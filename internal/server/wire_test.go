@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/wire"
 )
@@ -56,7 +57,7 @@ func TestHTTPBinarySelectMatchesJSON(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("plain query answered with Content-Type %q", ct)
 	}
-	var jr QueryResponse
+	var jr api.QueryResponse
 	if err := json.Unmarshal(raw, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestHTTPBinarySelectMatchesJSON(t *testing.T) {
 func TestHTTPBinaryCountAndErrors(t *testing.T) {
 	_, ts, vals := newHTTPFixture(t)
 	br := postBinaryQuery(t, ts.URL, `{"op":"count","low":100,"high":900}`, 0)
-	want := refCount(vals, QueryRequest{Low: i64(100), High: i64(900)}.Range())
+	want := refCount(vals, api.QueryRequest{Low: i64(100), High: i64(900)}.Range())
 	if br.Count != want || len(br.Rows) != 0 {
 		t.Fatalf("binary count = %d with %d rows, want %d with none", br.Count, len(br.Rows), want)
 	}
@@ -99,7 +100,7 @@ func TestHTTPBinaryCountAndErrors(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("error response Content-Type %q, want JSON", ct)
 	}
-	var er errorResponse
+	var er api.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
 		t.Fatalf("error body not a JSON error: %v", err)
 	}
@@ -180,7 +181,7 @@ func TestHTTPBinaryDifferentialRandom(t *testing.T) {
 				if qi%5 == 4 {
 					applyRandomWrite(t, ts.URL, rng, spec, nextRow)
 				}
-				q := QueryRequest{Op: "select", Table: spec.Name, Column: ColumnName(rng.Intn(spec.Cols)), Path: paths[rng.Intn(len(paths))]}
+				q := api.QueryRequest{Op: "select", Table: spec.Name, Column: ColumnName(rng.Intn(spec.Cols)), Path: paths[rng.Intn(len(paths))]}
 				if rng.Intn(4) > 0 {
 					q.Low = i64(int64(rng.Intn(domain)))
 				}
@@ -206,7 +207,7 @@ func TestHTTPBinaryDifferentialRandom(t *testing.T) {
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("json query %s: status %d: %s", body, resp.StatusCode, raw)
 				}
-				var jr QueryResponse
+				var jr api.QueryResponse
 				if err := json.Unmarshal(raw, &jr); err != nil {
 					t.Fatal(err)
 				}
@@ -267,7 +268,7 @@ func TestEncodeFailuresAreCounted(t *testing.T) {
 	eng, _ := testEngine(t, 1000)
 	svc := newTestService(t, eng, 0, "auto")
 	svc.writeJSON(&failingWriter{header: make(http.Header)}, http.StatusOK, map[string]int{"x": 1})
-	svc.writeBinary(&failingWriter{header: make(http.Header)}, QueryRequest{}, Reply{Count: 1, Rows: column.IDList{1}}, 0, time.Now(), nil)
+	svc.writeBinary(&failingWriter{header: make(http.Header)}, api.QueryRequest{}, Reply{Count: 1, Rows: column.IDList{1}}, 0, time.Now(), nil)
 	if got := svc.Stats().EncodeFailures; got != 2 {
 		t.Fatalf("encode_failures = %d, want 2", got)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/engine"
 	"adaptiveindex/internal/updates"
@@ -50,14 +51,14 @@ func TestApplyThroughScheduler(t *testing.T) {
 			if _, err := svc.CountQuery(Query{R: column.NewRange(100, 200), Path: "cracking"}); err != nil {
 				t.Fatal(err)
 			}
-			reply, err := svc.Apply([]WriteOp{{Insert: [][]column.Value{{n + 100, 1}, {n + 101, 2}}}})
+			reply, err := svc.Apply([]api.WriteOp{{Insert: [][]column.Value{{n + 100, 1}, {n + 101, 2}}}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(reply.Inserted) != 2 || reply.PendingInserts != 2 {
 				t.Fatalf("insert reply: %+v", reply)
 			}
-			reply, err = svc.Apply([]WriteOp{{Delete: []column.RowID{0}}})
+			reply, err = svc.Apply([]api.WriteOp{{Delete: []column.RowID{0}}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,19 +92,19 @@ func TestApplyValidation(t *testing.T) {
 	if _, err := svc.Apply(nil); !errors.Is(err, ErrEmptyWrite) {
 		t.Errorf("empty request: got %v", err)
 	}
-	if _, err := svc.Apply([]WriteOp{{}}); !errors.Is(err, ErrEmptyWrite) {
+	if _, err := svc.Apply([]api.WriteOp{{}}); !errors.Is(err, ErrEmptyWrite) {
 		t.Errorf("empty op: got %v", err)
 	}
-	if _, err := svc.Apply([]WriteOp{{Insert: [][]column.Value{{1, 2}}, Delete: []column.RowID{0}}}); !errors.Is(err, ErrEmptyWrite) {
+	if _, err := svc.Apply([]api.WriteOp{{Insert: [][]column.Value{{1, 2}}, Delete: []column.RowID{0}}}); !errors.Is(err, ErrEmptyWrite) {
 		t.Errorf("mixed op: got %v", err)
 	}
-	if _, err := svc.Apply([]WriteOp{{Table: "nope", Insert: [][]column.Value{{1, 2}}}}); !errors.Is(err, engine.ErrUnknownTable) {
+	if _, err := svc.Apply([]api.WriteOp{{Table: "nope", Insert: [][]column.Value{{1, 2}}}}); !errors.Is(err, engine.ErrUnknownTable) {
 		t.Errorf("unknown table: got %v", err)
 	}
-	if _, err := svc.Apply([]WriteOp{{Insert: [][]column.Value{{1}}}}); !errors.Is(err, engine.ErrRowArity) {
+	if _, err := svc.Apply([]api.WriteOp{{Insert: [][]column.Value{{1}}}}); !errors.Is(err, engine.ErrRowArity) {
 		t.Errorf("arity: got %v", err)
 	}
-	if _, err := svc.Apply([]WriteOp{{Delete: []column.RowID{99999}}}); !errors.Is(err, engine.ErrRowNotFound) {
+	if _, err := svc.Apply([]api.WriteOp{{Delete: []column.RowID{99999}}}); !errors.Is(err, engine.ErrRowNotFound) {
 		t.Errorf("missing row: got %v", err)
 	}
 }
@@ -125,7 +126,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSession; i++ {
 				v := column.Value(n + id*perSession + i)
-				if _, err := svc.Apply([]WriteOp{{Insert: [][]column.Value{{v, v}}}}); err != nil {
+				if _, err := svc.Apply([]api.WriteOp{{Insert: [][]column.Value{{v, v}}}}); err != nil {
 					errc <- err
 					return
 				}

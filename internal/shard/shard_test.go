@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/core"
 	"adaptiveindex/internal/engine"
@@ -397,7 +398,7 @@ func TestShardedServiceMatchesSingleHTTP(t *testing.T) {
 					requireSameSelection(t, fmt.Sprintf("binary query %d", i),
 						canonical(wb.Rows, wb.Columns), canonical(gb.Rows, gb.Columns))
 				} else {
-					var wr, gr server.QueryResponse
+					var wr, gr api.QueryResponse
 					if err := json.Unmarshal(postJSON(t, base.URL, "/query", body), &wr); err != nil {
 						t.Fatal(err)
 					}
@@ -413,7 +414,7 @@ func TestShardedServiceMatchesSingleHTTP(t *testing.T) {
 				if i%6 == 1 {
 					up := fmt.Sprintf(`{"op":"insert","table":"orders","rows":[[%d,%d,%d]]}`,
 						rng.Intn(n), rng.Intn(n), rng.Intn(n))
-					var wu, gu server.UpdateResponse
+					var wu, gu api.UpdateResponse
 					if err := json.Unmarshal(postJSON(t, base.URL, "/update", up), &wu); err != nil {
 						t.Fatal(err)
 					}
