@@ -116,8 +116,8 @@ func (cc *CrackerColumn) Len() int { return len(cc.pairs) }
 func (cc *CrackerColumn) Cost() cost.Counters { return cc.c }
 
 // NumPieces returns the number of pieces the column is currently
-// divided into.
-func (cc *CrackerColumn) NumPieces() int { return len(cc.index.Pieces(len(cc.pairs))) }
+// divided into, in O(log P) and without allocating.
+func (cc *CrackerColumn) NumPieces() int { return cc.index.NumPieces(len(cc.pairs)) }
 
 // Pieces exposes the current piece layout for inspection and tools.
 func (cc *CrackerColumn) Pieces() []crackeridx.Piece { return cc.index.Pieces(len(cc.pairs)) }

@@ -13,6 +13,8 @@
 package core
 
 import (
+	"sort"
+
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/cost"
 	"adaptiveindex/internal/crackeridx"
@@ -114,6 +116,31 @@ func classifyPiece(p *SnapPiece, r column.Range) int {
 	return 0
 }
 
+// span returns the pieces [lo, hi) that classifyPiece does not reject
+// for the non-empty predicate r, by binary search. Pieces' Upper and
+// Lower bounds increase strictly in position order, so the pieces
+// wholly left of r's lower bound form a prefix and those wholly right
+// of its upper bound a suffix. A read then costs O(log P) plus the
+// pieces it actually returns.
+func (s *ColSnapshot) span(r column.Range) (lo, hi int) {
+	lo, hi = 0, len(s.Pieces)
+	if r.HasLow {
+		lowB := lowerBoundOf(r)
+		lo = sort.Search(hi, func(i int) bool {
+			p := &s.Pieces[i]
+			return !p.HasUpper || p.Upper.Compare(lowB) > 0
+		})
+	}
+	if r.HasHigh {
+		highB := upperBoundOf(r)
+		hi = sort.Search(hi, func(i int) bool {
+			p := &s.Pieces[i]
+			return p.HasLower && highB.Compare(p.Lower) <= 0
+		})
+	}
+	return lo, hi
+}
+
 // Count answers the range predicate against the snapshot: the number
 // of qualifying tuples, plus whether the read crossed a piece boundary
 // the live column has not cracked yet (a crack intent the caller
@@ -124,7 +151,8 @@ func (s *ColSnapshot) Count(r column.Range, c *cost.Counters) (count int, needsR
 	if r.Empty() {
 		return 0, false
 	}
-	for i := range s.Pieces {
+	lo, hi := s.span(r)
+	for i := lo; i < hi; i++ {
 		p := &s.Pieces[i]
 		switch classifyPiece(p, r) {
 		case 1:
@@ -151,7 +179,8 @@ func (s *ColSnapshot) Select(r column.Range, c *cost.Counters) (rows column.IDLi
 	if r.Empty() {
 		return nil, false
 	}
-	for i := range s.Pieces {
+	lo, hi := s.span(r)
+	for i := lo; i < hi; i++ {
 		p := &s.Pieces[i]
 		switch classifyPiece(p, r) {
 		case 1:

@@ -10,12 +10,13 @@
 // than) v. The cracker index stores these boundaries so that future
 // queries can narrow their work to the one or two pieces that still
 // contain unsorted data for their predicate. The original prototype in
-// MonetDB uses an AVL tree; this package does the same.
+// MonetDB uses an AVL tree; this package does the same. The index also
+// maintains how many distinct positions its boundaries occupy, so the
+// piece count is an O(log P) read rather than a walk over every piece.
 package crackeridx
 
 import (
 	"fmt"
-	"sort"
 
 	"adaptiveindex/internal/column"
 )
@@ -85,6 +86,52 @@ type node struct {
 type Index struct {
 	root *node
 	size int
+	// samePos counts the pairs of bound-order neighbours that share a
+	// position, so size-samePos is the number of distinct positions
+	// and NumPieces never has to walk the tree.
+	samePos int
+}
+
+// neighbours are the in-order predecessor and successor of the bound a
+// descent is heading for; either is nil at the edge of the index.
+type neighbours struct{ pred, succ *node }
+
+// pass records that a descent for a bound comparing c against n's bound
+// moves on past n.
+func (nb *neighbours) pass(n *node, c int) {
+	if c < 0 {
+		nb.succ = n
+	} else {
+		nb.pred = n
+	}
+}
+
+// around completes the neighbours of node n itself from its subtrees.
+func (nb *neighbours) around(n *node) {
+	if n.left != nil {
+		nb.pred = maxNode(n.left)
+	}
+	if n.right != nil {
+		nb.succ = minNode(n.right)
+	}
+}
+
+// at counts the neighbours sitting at pos.
+func (nb *neighbours) at(pos int) int { return atPos(nb.pred, pos) + atPos(nb.succ, pos) }
+
+// adjacent is 1 when the predecessor and successor share a position.
+func (nb *neighbours) adjacent() int {
+	if nb.pred == nil {
+		return 0
+	}
+	return atPos(nb.succ, nb.pred.pos)
+}
+
+func atPos(n *node, pos int) int {
+	if n != nil && n.pos == pos {
+		return 1
+	}
+	return 0
 }
 
 // New returns an empty cracker index.
@@ -112,20 +159,25 @@ func (ix *Index) Lookup(b Bound) (int, bool) {
 // Insert records that bound b splits the column at position pos. If the
 // bound already exists its position is overwritten.
 func (ix *Index) Insert(b Bound, pos int) {
-	ix.root = ix.insert(ix.root, b, pos)
+	ix.root = ix.insert(ix.root, b, pos, &neighbours{})
 }
 
-func (ix *Index) insert(n *node, b Bound, pos int) *node {
+func (ix *Index) insert(n *node, b Bound, pos int, nb *neighbours) *node {
 	if n == nil {
 		ix.size++
+		ix.samePos += nb.at(pos) - nb.adjacent()
 		return &node{bound: b, pos: pos, height: 1}
 	}
 	switch c := b.Compare(n.bound); {
 	case c < 0:
-		n.left = ix.insert(n.left, b, pos)
+		nb.pass(n, c)
+		n.left = ix.insert(n.left, b, pos, nb)
 	case c > 0:
-		n.right = ix.insert(n.right, b, pos)
+		nb.pass(n, c)
+		n.right = ix.insert(n.right, b, pos, nb)
 	default:
+		nb.around(n)
+		ix.samePos += nb.at(pos) - nb.at(n.pos)
 		n.pos = pos
 		return n
 	}
@@ -137,25 +189,29 @@ func (ix *Index) insert(n *node, b Bound, pos int) *node {
 // pieces back together.
 func (ix *Index) Delete(b Bound) bool {
 	var deleted bool
-	ix.root, deleted = ix.delete(ix.root, b)
+	ix.root, deleted = ix.delete(ix.root, b, &neighbours{})
 	if deleted {
 		ix.size--
 	}
 	return deleted
 }
 
-func (ix *Index) delete(n *node, b Bound) (*node, bool) {
+func (ix *Index) delete(n *node, b Bound, nb *neighbours) (*node, bool) {
 	if n == nil {
 		return nil, false
 	}
 	var deleted bool
 	switch c := b.Compare(n.bound); {
 	case c < 0:
-		n.left, deleted = ix.delete(n.left, b)
+		nb.pass(n, c)
+		n.left, deleted = ix.delete(n.left, b, nb)
 	case c > 0:
-		n.right, deleted = ix.delete(n.right, b)
+		nb.pass(n, c)
+		n.right, deleted = ix.delete(n.right, b, nb)
 	default:
 		deleted = true
+		nb.around(n)
+		ix.samePos += nb.adjacent() - nb.at(n.pos)
 		if n.left == nil {
 			return n.right, true
 		}
@@ -163,17 +219,23 @@ func (ix *Index) delete(n *node, b Bound) (*node, bool) {
 			return n.left, true
 		}
 		// Replace with in-order successor.
-		succ := n.right
-		for succ.left != nil {
-			succ = succ.left
-		}
+		succ := minNode(n.right)
 		n.bound, n.pos = succ.bound, succ.pos
-		n.right, _ = ix.delete(n.right, succ.bound)
+		n.right = deleteMin(n.right)
 	}
 	if !deleted {
 		return n, false
 	}
 	return rebalance(n), true
+}
+
+// deleteMin unlinks the leftmost node of the subtree rooted at n.
+func deleteMin(n *node) *node {
+	if n.left == nil {
+		return n.right
+	}
+	n.left = deleteMin(n.left)
+	return rebalance(n)
 }
 
 // PieceFor returns the contiguous region of the column (given its total
@@ -250,23 +312,56 @@ func (ix *Index) Pieces(n int) []Piece {
 	return pieces
 }
 
+// NumPieces returns len(Pieces(n)) in O(log P) without materialising
+// the pieces: one piece between each pair of consecutive distinct
+// boundary positions, plus one before the first position unless it is
+// 0 and one after the last unless it is n, and never fewer than one.
+func (ix *Index) NumPieces(n int) int {
+	if ix.root == nil {
+		return 1
+	}
+	pieces := ix.size - ix.samePos - 1
+	if minNode(ix.root).pos != 0 {
+		pieces++
+	}
+	if maxNode(ix.root).pos != n {
+		pieces++
+	}
+	return max(pieces, 1)
+}
+
+// remap applies move to every boundary in bound order and recounts
+// samePos in the same walk. The position-shifting operations use it.
+func (ix *Index) remap(move func(*node)) {
+	ix.samePos = 0
+	var prev *node
+	var walk func(*node)
+	walk = func(n *node) {
+		if n.left != nil {
+			walk(n.left)
+		}
+		move(n)
+		ix.samePos += atPos(prev, n.pos)
+		prev = n
+		if n.right != nil {
+			walk(n.right)
+		}
+	}
+	if ix.root != nil {
+		walk(ix.root)
+	}
+}
+
 // ShiftPositions adds delta to the position of every boundary whose
 // position is greater than or equal to fromPos. Update policies use it
 // when tuples are inserted into or removed from the middle of the
 // cracker column.
 func (ix *Index) ShiftPositions(fromPos, delta int) {
-	var walk func(*node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
+	ix.remap(func(n *node) {
 		if n.pos >= fromPos {
 			n.pos += delta
 		}
-		walk(n.right)
-	}
-	walk(ix.root)
+	})
 }
 
 // ShiftPositionsFromBound adds delta to the position of every boundary
@@ -275,18 +370,11 @@ func (ix *Index) ShiftPositions(fromPos, delta int) {
 // value lies to the left of may move, even if other boundaries share
 // the same array position (zero-length pieces).
 func (ix *Index) ShiftPositionsFromBound(b Bound, delta int) {
-	var walk func(*node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
+	ix.remap(func(n *node) {
 		if n.bound.Compare(b) >= 0 {
 			n.pos += delta
 		}
-		walk(n.right)
-	}
-	walk(ix.root)
+	})
 }
 
 // CollapseRange records the physical removal of the tuples stored in
@@ -299,34 +387,29 @@ func (ix *Index) CollapseRange(start, end int) {
 		return
 	}
 	width := end - start
-	var walk func(*node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
+	ix.remap(func(n *node) {
 		switch {
 		case n.pos > end:
 			n.pos -= width
 		case n.pos > start:
 			n.pos = start
 		}
-		walk(n.right)
-	}
-	walk(ix.root)
+	})
 }
 
 // Clear removes all boundaries.
 func (ix *Index) Clear() {
 	ix.root = nil
 	ix.size = 0
+	ix.samePos = 0
 }
 
 // Validate checks the structural invariants of the index against a
 // column of length n: binary-search-tree ordering of the bounds, AVL
-// balance, and monotonically non-decreasing positions in bound order
-// within [0, n]. It returns an error describing the first violation.
-// Tests and the crackview tool use it.
+// balance, monotonically non-decreasing positions in bound order
+// within [0, n], and a maintained piece count equal to len(Pieces(n)).
+// It returns an error describing the first violation. Tests and the
+// crackview tool use it.
 func (ix *Index) Validate(n int) error {
 	if err := validateNode(ix.root, nil, nil); err != nil {
 		return err
@@ -344,6 +427,9 @@ func (ix *Index) Validate(n int) error {
 		if i > 0 && bs[i-1].Bound.Compare(b.Bound) >= 0 {
 			return fmt.Errorf("boundaries out of order: %s then %s", bs[i-1].Bound, b.Bound)
 		}
+	}
+	if got, want := ix.NumPieces(n), len(ix.Pieces(n)); got != want {
+		return fmt.Errorf("maintained piece count %d, want %d", got, want)
 	}
 	return nil
 }
@@ -371,20 +457,18 @@ func validateNode(n *node, min, max *Bound) error {
 	return validateNode(n.right, &n.bound, max)
 }
 
-// SortedPositions returns the boundary positions in bound order. It is
-// a convenience for tests and tools.
-func (ix *Index) SortedPositions() []int {
-	bs := ix.Boundaries()
-	out := make([]int, len(bs))
-	for i, b := range bs {
-		out[i] = b.Pos
+func minNode(n *node) *node {
+	for n.left != nil {
+		n = n.left
 	}
-	if !sort.IntsAreSorted(out) {
-		// Positions are expected to be sorted whenever the index is
-		// consistent; keep the raw order so Validate can report it.
-		return out
+	return n
+}
+
+func maxNode(n *node) *node {
+	for n.right != nil {
+		n = n.right
 	}
-	return out
+	return n
 }
 
 func height(n *node) int {

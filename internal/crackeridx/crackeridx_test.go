@@ -327,14 +327,14 @@ func TestSortedPositions(t *testing.T) {
 	ix.Insert(Bound{Value: 10}, 100)
 	ix.Insert(Bound{Value: 5}, 50)
 	ix.Insert(Bound{Value: 20}, 200)
-	got := ix.SortedPositions()
+	bs := ix.Boundaries()
 	want := []int{50, 100, 200}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
+	if len(bs) != len(want) {
+		t.Fatalf("got %v", bs)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
+		if bs[i].Pos != want[i] {
+			t.Fatalf("got %v want positions %v", bs, want)
 		}
 	}
 }

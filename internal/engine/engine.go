@@ -891,7 +891,9 @@ func (e *Engine) Run(q Query) (*Result, error) {
 }
 
 // piecesFor returns the cracked-piece count of the adaptive structure
-// the path would use on tc, or 0 when it has not been built.
+// the path would use on tc, or 0 when it has not been built. The
+// count is maintained by the cracker indexes, so Run pays O(log P)
+// for it, not a walk over the pieces.
 func (e *Engine) piecesFor(tc TableColumn, path AccessPath) int {
 	switch path {
 	case PathCracking:
@@ -904,11 +906,7 @@ func (e *Engine) piecesFor(tc TableColumn, path AccessPath) int {
 		}
 	case PathParallel:
 		if px, ok := e.parallels[tc]; ok {
-			n := 0
-			for _, p := range px.PartitionStats() {
-				n += p.Pieces
-			}
-			return n
+			return px.NumPieces()
 		}
 	}
 	return 0
@@ -989,9 +987,7 @@ func (e *Engine) Structures() StructureStats {
 		s.MapPieces += ms.NumPieces()
 	}
 	for _, px := range e.parallels {
-		for _, p := range px.PartitionStats() {
-			s.ParallelPieces += p.Pieces
-		}
+		s.ParallelPieces += px.NumPieces()
 	}
 	s.Pieces = s.CrackerPieces + s.MapPieces + s.ParallelPieces
 	return s

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/core"
+	"adaptiveindex/internal/crackeridx"
 	"adaptiveindex/internal/trace"
 	"adaptiveindex/internal/updates"
 	"adaptiveindex/internal/workload"
@@ -167,6 +170,154 @@ func TestEventLogRecordsMergeFlush(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no merge_flush event after a buffered insert was read back: %+v", events)
+	}
+}
+
+// refPieces is piecesFor computed the slow way, from len(Pieces()) of
+// every cracker index the structure holds.
+func refPieces(e *Engine, tc TableColumn, path AccessPath) int {
+	switch path {
+	case PathCracking:
+		if uc, ok := e.crackers[tc]; ok {
+			return len(uc.Cracker().Pieces())
+		}
+	case PathSideways:
+		if ms, ok := e.mapsets[tc]; ok {
+			n := 0
+			for _, md := range ms.Dump().Maps {
+				ix := crackeridx.New()
+				for _, b := range md.Boundaries {
+					ix.Insert(b.Bound, b.Pos)
+				}
+				n += len(ix.Pieces(len(md.Heads)))
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// wantReorgEvents derives the crack, pieces_threshold and merge_flush
+// events one query should emit from its reference piece counts and the
+// cracker's merge counters around it.
+func wantReorgEvents(tc TableColumn, path AccessPath, before, after int, insBefore, delBefore, ins, del uint64, pending int) []trace.Event {
+	ev := func(kind string, fields map[string]float64) trace.Event {
+		return trace.Event{Kind: kind, Table: tc.Table, Column: tc.Column, Path: path.String(), Fields: fields}
+	}
+	var out []trace.Event
+	if after > before {
+		out = append(out, ev("crack", map[string]float64{"pieces_before": float64(before), "pieces_after": float64(after)}))
+		for th := 16; th <= after; th *= 2 {
+			if before < th {
+				out = append(out, ev("pieces_threshold", map[string]float64{"threshold": float64(th), "pieces": float64(after)}))
+			}
+		}
+	}
+	if path == PathCracking && (ins > insBefore || del > delBefore) {
+		out = append(out, ev("merge_flush", map[string]float64{
+			"merged_inserts":    float64(ins - insBefore),
+			"merged_deletions":  float64(del - delBefore),
+			"pending_remaining": float64(pending),
+		}))
+	}
+	return out
+}
+
+// TestReorgEventsMatchMaterialisedPieceCounts replays a seeded stream
+// of reads and writes with an event log attached and pins every crack,
+// pieces_threshold and merge_flush event — kinds and fields — to the
+// ones the piece counts of the materialised piece lists imply.
+func TestReorgEventsMatchMaterialisedPieceCounts(t *testing.T) {
+	const n = 3000
+	e := traceTestEngine(t, n)
+	log := trace.NewLog(1 << 14)
+	e.SetEventLog(log)
+	rng := rand.New(rand.NewSource(41))
+	live := make([]column.RowID, n)
+	for i := range live {
+		live[i] = column.RowID(i)
+	}
+	cols := []string{"c0", "c1"}
+	seen := map[string]int{}
+	var last uint64
+	for step := 0; step < 600; step++ {
+		var want []trace.Event
+		switch k := rng.Intn(10); {
+		case k < 7:
+			col := cols[rng.Intn(2)]
+			lo := column.Value(rng.Intn(10_000))
+			q := Query{Table: "data", Column: col, R: column.NewRange(lo, lo+column.Value(rng.Intn(400))), Path: PathAuto}
+			switch rng.Intn(3) {
+			case 0:
+				q.CountOnly = true
+			case 1:
+				q.Project = []string{cols[rng.Intn(2)]}
+			}
+			tc := key("data", col)
+			crackBefore, sidewaysBefore := refPieces(e, tc, PathCracking), refPieces(e, tc, PathSideways)
+			insBefore, delBefore, _ := e.mergedFor(tc)
+			res, err := e.Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := map[AccessPath]int{PathCracking: crackBefore, PathSideways: sidewaysBefore}[res.Path]
+			ins, del, pending := e.mergedFor(tc)
+			want = wantReorgEvents(tc, res.Path, before, refPieces(e, tc, res.Path), insBefore, delBefore, ins, del, pending)
+		case k < 9:
+			row, err := e.InsertRow("data", []column.Value{column.Value(rng.Intn(10_000)), column.Value(rng.Intn(10_000))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, row)
+		default:
+			i := rng.Intn(len(live))
+			if err := e.DeleteRow("data", live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		events, dropped := log.Since(last, 0)
+		if dropped != 0 {
+			t.Fatalf("step %d: event log dropped %d events", step, dropped)
+		}
+		last = log.LastSeq()
+		var got []trace.Event
+		for _, ev := range events {
+			switch ev.Kind {
+			case "crack", "pieces_threshold", "merge_flush":
+				ev.Seq, ev.UnixMicros = 0, 0
+				got = append(got, ev)
+				seen[ev.Kind+"/"+ev.Path]++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: events\n got %+v\nwant %+v", step, got, want)
+		}
+	}
+	for _, kind := range []string{"crack/cracking", "crack/sideways", "pieces_threshold/cracking", "merge_flush/cracking"} {
+		if seen[kind] == 0 {
+			t.Errorf("the replay never emitted %s (saw %v)", kind, seen)
+		}
+	}
+}
+
+func TestStructuresDoesNotAllocate(t *testing.T) {
+	e := traceTestEngine(t, 4000)
+	for i, r := range workload.Queries(workload.NewUniform(12, 0, 10_000, 0.02), 60) {
+		q := Query{Table: "data", Column: "c0", R: r, Path: PathCracking}
+		if i%2 == 1 {
+			q.Project, q.Path = []string{"c1"}, PathSideways
+		}
+		if _, err := e.Run(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := e.Structures(); s.CrackerPieces < 2 || s.MapPieces < 2 {
+		t.Fatalf("replay built too little to measure: %+v", s)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = e.Structures() }); allocs != 0 {
+		t.Fatalf("Structures allocates %.0f times per call", allocs)
 	}
 }
 

@@ -241,6 +241,18 @@ func (ix *Index) ExclusiveQueries() uint64 {
 	return t
 }
 
+// NumPieces returns the cracker piece count summed over every
+// partition, without allocating.
+func (ix *Index) NumPieces() int {
+	n := 0
+	for _, s := range ix.shards {
+		s.mu.RLock()
+		n += s.cc.NumPieces()
+		s.mu.RUnlock()
+	}
+	return n
+}
+
 // Cost returns the cumulative logical work: the build cost, every
 // partition's cracking work, and the shared-path read work.
 func (ix *Index) Cost() cost.Counters {

@@ -422,7 +422,7 @@ func (ms *MapSet) CountRows(r column.Range) (int, error) {
 func (ms *MapSet) NumPieces() int {
 	total := 0
 	for _, m := range ms.maps {
-		total += len(m.idx.Pieces(len(m.entries)))
+		total += m.idx.NumPieces(len(m.entries))
 	}
 	return total
 }

@@ -371,3 +371,21 @@ func TestQuickOracleEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNumPiecesDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tab := makeTable(rng, 3000, 500)
+	ms := newSet(t, tab, DefaultOptions())
+	for q := 0; q < 40; q++ {
+		lo := column.Value(rng.Intn(500))
+		if _, _, err := ms.SelectProjectMulti(column.NewRange(lo, lo+25), []string{"b", "c"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ms.NumPieces() < 4 {
+		t.Fatalf("replay cracked too little to measure: %d pieces", ms.NumPieces())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = ms.NumPieces() }); allocs != 0 {
+		t.Fatalf("NumPieces allocates %.0f times per call", allocs)
+	}
+}
