@@ -66,14 +66,15 @@ type CrackerColumn struct {
 	rng   *rand.Rand
 	c     cost.Counters
 
-	// version counts physical reorganisations (cracks and ripples)
-	// since construction. dirtyLo/dirtyHi bound the position range
-	// whose contents may have moved since the last Snapshot call;
-	// dirtyHi <= dirtyLo means clean. Together they let Snapshot
-	// reuse the previous epoch's copied pieces for untouched spans.
+	// version counts physical reorganisations (cracks, ripples and
+	// merges) since construction: epoch publication's cheap change
+	// fingerprint. Which pieces changed is the cracker index's own
+	// record (crackeridx.Index.Changes), which Snapshot consumes.
 	version uint64
-	dirtyLo int
-	dirtyHi int
+
+	// sweep and sweepPos are MergeBatch's reusable plan buffers.
+	sweep    []sweepPiece
+	sweepPos []int
 }
 
 var _ index.Interface = (*CrackerColumn)(nil)
@@ -116,7 +117,7 @@ func (cc *CrackerColumn) Len() int { return len(cc.pairs) }
 func (cc *CrackerColumn) Cost() cost.Counters { return cc.c }
 
 // NumPieces returns the number of pieces the column is currently
-// divided into, in O(log P) and without allocating.
+// divided into, in O(1) and without allocating.
 func (cc *CrackerColumn) NumPieces() int { return cc.index.NumPieces(len(cc.pairs)) }
 
 // Pieces exposes the current piece layout for inspection and tools.
@@ -132,29 +133,11 @@ func (cc *CrackerColumn) Pairs() column.Pairs { return cc.pairs }
 
 // crackInTwo partitions pairs[lo:hi) so that all values on the left
 // side of bound b precede all others, and returns the split position.
+// A crack always records a new bound, so the pieces it creates never
+// match a snapshot's earlier copy and need no mark.
 func (cc *CrackerColumn) crackInTwo(lo, hi int, b crackeridx.Bound) int {
-	cc.markDirty(lo, hi)
-	return CrackInTwo(cc.pairs, lo, hi, b, &cc.c)
-}
-
-// markDirty records that positions [lo, hi) may be physically
-// reorganised, widening the pending dirty range and bumping the
-// column's reorganisation version. Snapshot consumes and resets it.
-func (cc *CrackerColumn) markDirty(lo, hi int) {
 	cc.version++
-	if hi <= lo {
-		return
-	}
-	if cc.dirtyHi <= cc.dirtyLo {
-		cc.dirtyLo, cc.dirtyHi = lo, hi
-		return
-	}
-	if lo < cc.dirtyLo {
-		cc.dirtyLo = lo
-	}
-	if hi > cc.dirtyHi {
-		cc.dirtyHi = hi
-	}
+	return CrackInTwo(cc.pairs, lo, hi, b, &cc.c)
 }
 
 // Version returns the column's reorganisation version: it increases on
@@ -246,7 +229,7 @@ func UpperBound(r column.Range) crackeridx.Bound { return upperBoundOf(r) }
 // of bHigh. It returns the two split positions (p1, p2) such that the
 // middle region is [p1, p2). bLow must not order after bHigh.
 func (cc *CrackerColumn) crackInThree(lo, hi int, bLow, bHigh crackeridx.Bound) (int, int) {
-	cc.markDirty(lo, hi)
+	cc.version++
 	return CrackInThree(cc.pairs, lo, hi, bLow, bHigh, &cc.c)
 }
 
@@ -415,26 +398,17 @@ func (cc *CrackerColumn) Validate() error {
 	for _, piece := range cc.index.Pieces(n) {
 		for i := piece.Start; i < piece.End; i++ {
 			v := cc.pairs[i].Val
-			if piece.HasLower && satisfiesLeft(v, piece.Lower) {
+			if piece.HasLower && piece.Lower.IsLeft(v) {
 				return fmt.Errorf("position %d value %d violates lower bound %s of piece [%d,%d)",
 					i, v, piece.Lower, piece.Start, piece.End)
 			}
-			if piece.HasUpper && !satisfiesLeft(v, piece.Upper) {
+			if piece.HasUpper && !piece.Upper.IsLeft(v) {
 				return fmt.Errorf("position %d value %d violates upper bound %s of piece [%d,%d)",
 					i, v, piece.Upper, piece.Start, piece.End)
 			}
 		}
 	}
 	return nil
-}
-
-// satisfiesLeft reports whether v belongs to the left side of bound b,
-// without counting cost (used only by Validate).
-func satisfiesLeft(v column.Value, b crackeridx.Bound) bool {
-	if b.Inclusive {
-		return v <= b.Value
-	}
-	return v < b.Value
 }
 
 // ErrNotFound is returned by Get when a row identifier does not exist.

@@ -3,12 +3,15 @@
 // Epoch-pinned reads (internal/engine's epoch manager) need a view of
 // a cracked column that never moves underneath a reader: the live
 // CrackerColumn reorganises itself on every query, so concurrent
-// readers must instead pin a ColSnapshot — a copy-on-crack list of the
-// column's pieces taken between reorganisations. Pieces whose span was
-// untouched since the previous snapshot are shared structurally with
-// it (the copied slice is immutable once published), so steady-state
-// publication cost is proportional to the data that actually moved,
-// not the column size.
+// readers must instead pin a ColSnapshot — a copy of the column's
+// pieces taken between reorganisations. A snapshot mirrors the cracker
+// index's chunks: one immutable piece array per index chunk, shared by
+// pointer with the previous snapshot while the chunk is unchanged, and
+// inside a changed chunk each piece's copied tuples are reused while
+// its bounds are unchanged and nothing marked its tuples changed. A
+// ripple or a batched merge only rotates the pieces it passes through
+// and marks the piece that gained or lost a row; a crack always adds a
+// new bound. So republishing costs what changed, not the column size.
 
 package core
 
@@ -20,71 +23,188 @@ import (
 	"adaptiveindex/internal/crackeridx"
 )
 
-// SnapPiece is one piece of a column snapshot: an immutable copy of
-// the (value, rowid) pairs that occupied positions [Start, End) of the
-// cracker column at snapshot time, plus the piece's bounding pivots
-// from the cracker index. The Pairs slice never aliases the live
-// column and must not be mutated after the snapshot is published.
+// SnapPiece is one non-empty piece of a column snapshot: an immutable
+// copy of the piece's (value, rowid) pairs plus its bounding pivots
+// from the cracker index. The copy never aliases the live column; its
+// order is the column's order when it was copied, which later ripples
+// may have rotated since. It must not be mutated once published.
 type SnapPiece struct {
-	Start, End int
-	Pairs      column.Pairs
-	Lower      crackeridx.Bound
-	Upper      crackeridx.Bound
-	HasLower   bool
-	HasUpper   bool
+	Pairs    column.Pairs
+	Lower    crackeridx.Bound
+	Upper    crackeridx.Bound
+	HasLower bool
+	HasUpper bool
+}
+
+// snapChunk holds the non-empty pieces of one cracker-index chunk (src)
+// in position order; the snapshot's first snapChunk holds the piece
+// before the first boundary and has no src.
+type snapChunk struct {
+	src    *crackeridx.Chunk
+	pieces []SnapPiece
 }
 
 // ColSnapshot is an immutable piece-catalog view of a cracker column.
 // Any number of goroutines may Select/Count against it concurrently;
 // it is never mutated after Snapshot returns it.
 type ColSnapshot struct {
-	// Pieces lists the column's pieces in position order; their spans
-	// tile [0, Len) exactly.
-	Pieces []SnapPiece
+	chunks []*snapChunk
+	// first[i] is the number of pieces in chunks[:i]; its last entry is
+	// the snapshot's piece count.
+	first []int
 	// Len is the column length at snapshot time.
 	Len int
 	// Version is the column's reorganisation version at snapshot time.
 	Version uint64
 }
 
+// NumPieces returns the number of pieces in the snapshot.
+func (s *ColSnapshot) NumPieces() int { return s.first[len(s.chunks)] }
+
+// chunkOf returns the index of the chunk holding piece g.
+func (s *ColSnapshot) chunkOf(g int) int {
+	return sort.Search(len(s.chunks), func(i int) bool { return s.first[i+1] > g })
+}
+
+// piece returns the snapshot's g-th piece in position order.
+func (s *ColSnapshot) piece(g int) *SnapPiece {
+	ci := s.chunkOf(g)
+	return &s.chunks[ci].pieces[g-s.first[ci]]
+}
+
+// Pieces returns the snapshot's pieces in position order, for tests and
+// inspection; the slice is fresh but the pairs are the snapshot's own.
+func (s *ColSnapshot) Pieces() []SnapPiece {
+	out := make([]SnapPiece, 0, s.NumPieces())
+	for _, sc := range s.chunks {
+		out = append(out, sc.pieces...)
+	}
+	return out
+}
+
+// find returns the piece whose lower bound is b, or nil.
+func (s *ColSnapshot) find(b crackeridx.Bound) *SnapPiece {
+	total := s.NumPieces()
+	g := sort.Search(total, func(g int) bool {
+		p := s.piece(g)
+		return p.HasLower && p.Lower.Compare(b) >= 0
+	})
+	if g < total {
+		if p := s.piece(g); p.Lower == b {
+			return p
+		}
+	}
+	return nil
+}
+
 // Snapshot captures the column's current piece catalog. prev, when
 // non-nil, must be the snapshot returned by the most recent Snapshot
-// call on this column: pieces whose (Start, End) span is unchanged and
-// was not dirtied since then reuse prev's already-copied slices
-// instead of copying again. Snapshot deliberately charges nothing to
-// the cost counters — publication is bookkeeping, not query work — so
-// taking snapshots never perturbs the deterministic counter stream.
+// call on this column: chunks of the cracker index that did not change
+// since then share prev's piece arrays, and pieces of changed chunks
+// reuse prev's copies unless their bounds changed or they were marked.
+// The cracker index's change record is consumed. Snapshot deliberately
+// charges nothing to the cost counters — publication is bookkeeping,
+// not query work — so taking snapshots never perturbs the deterministic
+// counter stream.
 func (cc *CrackerColumn) Snapshot(prev *ColSnapshot) *ColSnapshot {
-	n := len(cc.pairs)
-	pieces := cc.index.Pieces(n)
-	snap := &ColSnapshot{Pieces: make([]SnapPiece, len(pieces)), Len: n, Version: cc.version}
-	var reuse map[[2]int]*SnapPiece
-	if prev != nil {
-		reuse = make(map[[2]int]*SnapPiece, len(prev.Pieces))
-		for i := range prev.Pieces {
-			p := &prev.Pieces[i]
-			reuse[[2]int{p.Start, p.End}] = p
+	ix := cc.index
+	chunks := ix.Chunks()
+	dirty, headMarked, reshaped := ix.Changes()
+	snap := &ColSnapshot{chunks: make([]*snapChunk, 1+len(chunks)), Len: len(cc.pairs), Version: cc.version}
+	if prev != nil && !headMarked {
+		snap.chunks[0] = prev.chunks[0]
+	} else {
+		snap.chunks[0] = cc.snapHead()
+	}
+	switch {
+	case prev != nil && !reshaped && len(prev.chunks) == len(snap.chunks):
+		// Same chunks as last time: only the changed ones are rebuilt.
+		copy(snap.chunks[1:], prev.chunks[1:])
+		for _, c := range dirty {
+			if ci := ix.ChunkIndex(c); ci >= 0 {
+				snap.chunks[1+ci] = cc.snapChunk(ci, prev, prev.chunks[1+ci])
+			}
+		}
+	default:
+		// Chunks were split or removed: match the unchanged ones to
+		// prev's by identity (both lists are in bound order).
+		at := 1
+		for ci, c := range chunks {
+			if prev != nil && !c.Dirty() {
+				for at < len(prev.chunks) && prev.chunks[at].src != c {
+					at++
+				}
+				if at < len(prev.chunks) {
+					snap.chunks[1+ci] = prev.chunks[at]
+					continue
+				}
+			}
+			snap.chunks[1+ci] = cc.snapChunk(ci, prev, nil)
 		}
 	}
-	dirtyLo, dirtyHi := cc.dirtyLo, cc.dirtyHi
-	for i, p := range pieces {
-		sp := SnapPiece{
-			Start: p.Start, End: p.End,
-			Lower: p.Lower, Upper: p.Upper,
-			HasLower: p.HasLower, HasUpper: p.HasUpper,
-		}
-		overlapsDirty := dirtyHi > dirtyLo && p.Start < dirtyHi && dirtyLo < p.End
-		if old, ok := reuse[[2]int{p.Start, p.End}]; ok && !overlapsDirty {
-			sp.Pairs = old.Pairs
-		} else {
-			cp := make(column.Pairs, p.End-p.Start)
-			copy(cp, cc.pairs[p.Start:p.End])
-			sp.Pairs = cp
-		}
-		snap.Pieces[i] = sp
+	snap.first = make([]int, len(snap.chunks)+1)
+	for i, sc := range snap.chunks {
+		snap.first[i+1] = snap.first[i] + len(sc.pieces)
 	}
-	cc.dirtyLo, cc.dirtyHi = 0, 0
+	ix.ClearChanges()
 	return snap
+}
+
+// snapHead copies the piece before the first boundary, if it is
+// non-empty.
+func (cc *CrackerColumn) snapHead() *snapChunk {
+	sp, end := SnapPiece{}, len(cc.pairs)
+	if chunks := cc.index.Chunks(); len(chunks) > 0 {
+		sp.Upper, sp.HasUpper, end = chunks[0].Bound(0), true, chunks[0].Pos(0)
+	}
+	if end == 0 {
+		return &snapChunk{}
+	}
+	sp.Pairs = append(column.Pairs(nil), cc.pairs[:end]...)
+	return &snapChunk{pieces: []SnapPiece{sp}}
+}
+
+// snapChunk builds the piece array of index chunk ci. old, when known,
+// is prev's array for the same chunk; otherwise reusable copies are
+// looked up in prev by bound.
+func (cc *CrackerColumn) snapChunk(ci int, prev *ColSnapshot, old *snapChunk) *snapChunk {
+	chunks := cc.index.Chunks()
+	c := chunks[ci]
+	sc := &snapChunk{src: c, pieces: make([]SnapPiece, 0, c.Len())}
+	k := 0
+	for j := 0; j < c.Len(); j++ {
+		sp := SnapPiece{Lower: c.Bound(j), HasLower: true}
+		start, end := c.Pos(j), len(cc.pairs)
+		switch {
+		case j+1 < c.Len():
+			sp.Upper, sp.HasUpper, end = c.Bound(j+1), true, c.Pos(j+1)
+		case ci+1 < len(chunks):
+			sp.Upper, sp.HasUpper, end = chunks[ci+1].Bound(0), true, chunks[ci+1].Pos(0)
+		}
+		if end <= start {
+			continue
+		}
+		var was *SnapPiece
+		switch {
+		case c.Marked(j) || prev == nil:
+		case old != nil:
+			for k < len(old.pieces) && old.pieces[k].Lower.Compare(sp.Lower) < 0 {
+				k++
+			}
+			if k < len(old.pieces) && old.pieces[k].Lower == sp.Lower {
+				was = &old.pieces[k]
+			}
+		default:
+			was = prev.find(sp.Lower)
+		}
+		if was != nil && was.HasUpper == sp.HasUpper && was.Upper == sp.Upper && len(was.Pairs) == end-start {
+			sp.Pairs = was.Pairs
+		} else {
+			sp.Pairs = append(column.Pairs(nil), cc.pairs[start:end]...)
+		}
+		sc.pieces = append(sc.pieces, sp)
+	}
+	return sc
 }
 
 // classify places one piece relative to a non-empty range predicate:
@@ -120,25 +240,38 @@ func classifyPiece(p *SnapPiece, r column.Range) int {
 // for the non-empty predicate r, by binary search. Pieces' Upper and
 // Lower bounds increase strictly in position order, so the pieces
 // wholly left of r's lower bound form a prefix and those wholly right
-// of its upper bound a suffix. A read then costs O(log P) plus the
+// of its upper bound a suffix. A read then costs O(log² P) plus the
 // pieces it actually returns.
 func (s *ColSnapshot) span(r column.Range) (lo, hi int) {
-	lo, hi = 0, len(s.Pieces)
+	lo, hi = 0, s.NumPieces()
 	if r.HasLow {
 		lowB := lowerBoundOf(r)
-		lo = sort.Search(hi, func(i int) bool {
-			p := &s.Pieces[i]
+		lo = sort.Search(hi, func(g int) bool {
+			p := s.piece(g)
 			return !p.HasUpper || p.Upper.Compare(lowB) > 0
 		})
 	}
 	if r.HasHigh {
 		highB := upperBoundOf(r)
-		hi = sort.Search(hi, func(i int) bool {
-			p := &s.Pieces[i]
+		hi = sort.Search(hi, func(g int) bool {
+			p := s.piece(g)
 			return p.HasLower && highB.Compare(p.Lower) <= 0
 		})
 	}
 	return lo, hi
+}
+
+// each calls fn on the pieces [lo, hi) in position order.
+func (s *ColSnapshot) each(lo, hi int, fn func(p *SnapPiece)) {
+	if lo >= hi {
+		return
+	}
+	for ci, g := s.chunkOf(lo), lo; g < hi; ci++ {
+		pieces := s.chunks[ci].pieces
+		for k := g - s.first[ci]; k < len(pieces) && g < hi; k, g = k+1, g+1 {
+			fn(&pieces[k])
+		}
+	}
 }
 
 // Count answers the range predicate against the snapshot: the number
@@ -152,8 +285,7 @@ func (s *ColSnapshot) Count(r column.Range, c *cost.Counters) (count int, needsR
 		return 0, false
 	}
 	lo, hi := s.span(r)
-	for i := lo; i < hi; i++ {
-		p := &s.Pieces[i]
+	s.each(lo, hi, func(p *SnapPiece) {
 		switch classifyPiece(p, r) {
 		case 1:
 			count += len(p.Pairs)
@@ -167,21 +299,21 @@ func (s *ColSnapshot) Count(r column.Range, c *cost.Counters) (count int, needsR
 				}
 			}
 		}
-	}
+	})
 	return count, needsReorg
 }
 
 // Select answers the range predicate against the snapshot: the row
-// identifiers of qualifying tuples in snapshot position order, plus
-// the same crack-intent signal as Count. The returned IDList is
-// freshly allocated and never aliases snapshot storage.
+// identifiers of qualifying tuples, piece by piece in position order
+// and within a piece in the order of the snapshot's copy, plus the same
+// crack-intent signal as Count. The returned IDList is freshly
+// allocated and never aliases snapshot storage.
 func (s *ColSnapshot) Select(r column.Range, c *cost.Counters) (rows column.IDList, needsReorg bool) {
 	if r.Empty() {
 		return nil, false
 	}
 	lo, hi := s.span(r)
-	for i := lo; i < hi; i++ {
-		p := &s.Pieces[i]
+	s.each(lo, hi, func(p *SnapPiece) {
 		switch classifyPiece(p, r) {
 		case 1:
 			at := len(rows)
@@ -199,6 +331,6 @@ func (s *ColSnapshot) Select(r column.Range, c *cost.Counters) (rows column.IDLi
 				}
 			}
 		}
-	}
+	})
 	return rows, needsReorg
 }

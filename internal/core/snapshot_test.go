@@ -29,8 +29,9 @@ func refCount(s *ColSnapshot, r column.Range, c *cost.Counters) (count int, need
 	if r.Empty() {
 		return 0, false
 	}
-	for i := range s.Pieces {
-		p := &s.Pieces[i]
+	pieces := s.Pieces()
+	for i := range pieces {
+		p := &pieces[i]
 		switch classifyPiece(p, r) {
 		case 1:
 			count += len(p.Pairs)
@@ -52,8 +53,9 @@ func refSelect(s *ColSnapshot, r column.Range, c *cost.Counters) (rows column.ID
 	if r.Empty() {
 		return nil, false
 	}
-	for i := range s.Pieces {
-		p := &s.Pieces[i]
+	pieces := s.Pieces()
+	for i := range pieces {
+		p := &pieces[i]
 		switch classifyPiece(p, r) {
 		case 1:
 			for _, pr := range p.Pairs {
@@ -134,12 +136,13 @@ func TestSnapshotReadsMatchClassifyEveryPiece(t *testing.T) {
 				continue
 			}
 			lo, hi := snap.span(r)
-			for i := range snap.Pieces {
-				if inSpan, rejected := i >= lo && i < hi, classifyPiece(&snap.Pieces[i], r) < 0; inSpan == rejected {
-					t.Fatalf("trial %d %s: piece %d of %d, span [%d,%d), rejected=%v", trial, r, i, len(snap.Pieces), lo, hi, rejected)
+			pieces := snap.Pieces()
+			for i := range pieces {
+				if inSpan, rejected := i >= lo && i < hi, classifyPiece(&pieces[i], r) < 0; inSpan == rejected {
+					t.Fatalf("trial %d %s: piece %d of %d, span [%d,%d), rejected=%v", trial, r, i, len(pieces), lo, hi, rejected)
 				}
 			}
-			if hi-lo < len(snap.Pieces) {
+			if hi-lo < len(pieces) {
 				skipped++
 			}
 		}

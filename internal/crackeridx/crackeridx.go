@@ -1,6 +1,5 @@
-// Package crackeridx implements the cracker index: a balanced binary
-// search tree that records the piece boundaries a cracked column has
-// accumulated so far.
+// Package crackeridx implements the cracker index: the catalog of piece
+// boundaries a cracked column has accumulated so far.
 //
 // Database cracking physically reorganises a copy of the column (the
 // cracker column) while answering range selections. Every reorganisation
@@ -9,10 +8,18 @@
 // boundaries) v, and all values at or after p are at least (or greater
 // than) v. The cracker index stores these boundaries so that future
 // queries can narrow their work to the one or two pieces that still
-// contain unsorted data for their predicate. The original prototype in
-// MonetDB uses an AVL tree; this package does the same. The index also
-// maintains how many distinct positions its boundaries occupy, so the
-// piece count is an O(log P) read rather than a walk over every piece.
+// contain unsorted data for their predicate.
+//
+// The original prototype in MonetDB keeps the boundaries in an AVL tree.
+// This package keeps them flat instead: bound-ordered chunks of at most
+// 64 boundaries, each chunk storing its positions relative to a chunk
+// base. A lookup is two binary searches, O(log P + chunk); shifting every
+// boundary behind a ripple is O(chunk + #chunks), because later chunks
+// only move their base. The index also maintains how many distinct
+// positions its boundaries occupy, so the piece count is an O(1) read,
+// and it records which chunks changed since a consumer last looked, so
+// an immutable copy of the catalog can be republished in proportion to
+// what changed (see core.ColSnapshot).
 package crackeridx
 
 import (
@@ -49,6 +56,16 @@ func (b Bound) Compare(other Bound) int {
 	}
 }
 
+// IsLeft reports whether value v belongs to the left side of b. Over
+// bounds in increasing order it is false and then true, which is what
+// FirstLeftOf binary-searches.
+func (b Bound) IsLeft(v column.Value) bool {
+	if b.Inclusive {
+		return v <= b.Value
+	}
+	return v < b.Value
+}
+
 // String renders the bound as "<v" or "<=v".
 func (b Bound) String() string {
 	if b.Inclusive {
@@ -74,168 +91,344 @@ type Piece struct {
 	HasLower, HasUpper bool
 }
 
-type node struct {
-	bound       Bound
-	pos         int
-	left, right *node
-	height      int
+// defaultChunkCap is the most boundaries a chunk holds. It may not
+// exceed 64: a chunk keeps one mark bit per boundary in a uint64.
+const defaultChunkCap = 64
+
+// Chunk is one run of consecutive boundaries, in bound order. The piece
+// "of" boundary j is the one that starts at it: from Pos(j) to the next
+// boundary's position (possibly in the next chunk) or the column end.
+// Chunks are owned by their Index; callers only read them.
+type Chunk struct {
+	base   int
+	bounds []Bound
+	rel    []int
+	// marked has bit j set when something reported (MarkPieceBefore) or
+	// caused (an overwrite) a change to the tuples of boundary j's piece
+	// since the last ClearChanges.
+	marked uint64
+	// dirty is set while the chunk is on its index's change list: its
+	// bounds changed, or one of its pieces was marked.
+	dirty bool
+}
+
+// Len returns the number of boundaries in the chunk.
+func (c *Chunk) Len() int { return len(c.bounds) }
+
+// Bound returns the chunk's j-th bound.
+func (c *Chunk) Bound(j int) Bound { return c.bounds[j] }
+
+// Pos returns the absolute position of the chunk's j-th boundary.
+func (c *Chunk) Pos(j int) int { return c.base + c.rel[j] }
+
+// Marked reports whether the tuples of boundary j's piece were marked
+// as changed since the last ClearChanges.
+func (c *Chunk) Marked(j int) bool { return c.marked>>uint(j)&1 != 0 }
+
+// Dirty reports whether the chunk changed since the last ClearChanges.
+func (c *Chunk) Dirty() bool { return c.dirty }
+
+func (c *Chunk) last() Bound { return c.bounds[len(c.bounds)-1] }
+
+// insertAt places a boundary at slot j, keeping the mark bits aligned.
+func (c *Chunk) insertAt(j int, b Bound, pos int) {
+	c.bounds = append(c.bounds, Bound{})
+	copy(c.bounds[j+1:], c.bounds[j:])
+	c.bounds[j] = b
+	c.rel = append(c.rel, 0)
+	copy(c.rel[j+1:], c.rel[j:])
+	c.rel[j] = pos - c.base
+	low := uint64(1)<<uint(j) - 1
+	c.marked = c.marked&low | (c.marked&^low)<<1
+}
+
+// removeAt drops slot j, keeping the mark bits aligned.
+func (c *Chunk) removeAt(j int) {
+	c.bounds = append(c.bounds[:j], c.bounds[j+1:]...)
+	c.rel = append(c.rel[:j], c.rel[j+1:]...)
+	low := uint64(1)<<uint(j) - 1
+	c.marked = c.marked&low | (c.marked>>1)&^low
 }
 
 // Index is the cracker index. The zero value is an empty index ready
 // for use. Index is not safe for concurrent use.
 type Index struct {
-	root *node
-	size int
+	chunks []*Chunk
+	size   int
 	// samePos counts the pairs of bound-order neighbours that share a
 	// position, so size-samePos is the number of distinct positions
-	// and NumPieces never has to walk the tree.
+	// and NumPieces never has to walk the boundaries.
 	samePos int
-}
+	// chunkCap overrides defaultChunkCap when positive (tests use small
+	// chunks to exercise splits).
+	chunkCap int
 
-// neighbours are the in-order predecessor and successor of the bound a
-// descent is heading for; either is nil at the edge of the index.
-type neighbours struct{ pred, succ *node }
-
-// pass records that a descent for a bound comparing c against n's bound
-// moves on past n.
-func (nb *neighbours) pass(n *node, c int) {
-	if c < 0 {
-		nb.succ = n
-	} else {
-		nb.pred = n
-	}
-}
-
-// around completes the neighbours of node n itself from its subtrees.
-func (nb *neighbours) around(n *node) {
-	if n.left != nil {
-		nb.pred = maxNode(n.left)
-	}
-	if n.right != nil {
-		nb.succ = minNode(n.right)
-	}
-}
-
-// at counts the neighbours sitting at pos.
-func (nb *neighbours) at(pos int) int { return atPos(nb.pred, pos) + atPos(nb.succ, pos) }
-
-// adjacent is 1 when the predecessor and successor share a position.
-func (nb *neighbours) adjacent() int {
-	if nb.pred == nil {
-		return 0
-	}
-	return atPos(nb.succ, nb.pred.pos)
-}
-
-func atPos(n *node, pos int) int {
-	if n != nil && n.pos == pos {
-		return 1
-	}
-	return 0
+	// Change tracking for incremental consumers (see Changes).
+	changed    []*Chunk
+	headMarked bool
+	reshaped   bool
 }
 
 // New returns an empty cracker index.
 func New() *Index { return &Index{} }
 
+func (ix *Index) capacity() int {
+	if ix.chunkCap > 0 {
+		return ix.chunkCap
+	}
+	return defaultChunkCap
+}
+
 // Len returns the number of boundaries recorded.
 func (ix *Index) Len() int { return ix.size }
 
-// Lookup returns the position recorded for the exact bound b.
-func (ix *Index) Lookup(b Bound) (int, bool) {
-	n := ix.root
-	for n != nil {
-		switch c := b.Compare(n.bound); {
-		case c < 0:
-			n = n.left
-		case c > 0:
-			n = n.right
-		default:
-			return n.pos, true
+// Chunks returns the chunks in bound order. The slice and the chunks
+// belong to the index and must not be modified.
+func (ix *Index) Chunks() []*Chunk { return ix.chunks }
+
+// locate returns the cursor (ci, j) of the first boundary ordering at
+// or after b — ci == len(Chunks()) when there is none — and whether it
+// is b itself. Two binary searches: over chunk maxima, then in a chunk.
+func (ix *Index) locate(b Bound) (ci, j int, found bool) {
+	lo, hi := 0, len(ix.chunks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ix.chunks[m].last().Compare(b) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return 0, false
+	if lo == len(ix.chunks) {
+		return lo, 0, false
+	}
+	c := ix.chunks[lo]
+	l, h := 0, len(c.bounds)
+	for l < h {
+		m := int(uint(l+h) >> 1)
+		if c.bounds[m].Compare(b) < 0 {
+			l = m + 1
+		} else {
+			h = m
+		}
+	}
+	return lo, l, c.bounds[l].Compare(b) == 0
+}
+
+// FirstLeftOf returns the cursor (ci, j) of the first boundary value v
+// lies to the left of, and its rank k among all boundaries. When v lies
+// right of every boundary, ci == len(Chunks()) and k == Len().
+func (ix *Index) FirstLeftOf(v column.Value) (ci, j, k int) {
+	lo, hi := 0, len(ix.chunks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if !ix.chunks[m].last().IsLeft(v) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(ix.chunks) {
+		return lo, 0, ix.size
+	}
+	c := ix.chunks[lo]
+	l, h := 0, len(c.bounds)
+	for l < h {
+		m := int(uint(l+h) >> 1)
+		if !c.bounds[m].IsLeft(v) {
+			l = m + 1
+		} else {
+			h = m
+		}
+	}
+	k = l
+	for _, p := range ix.chunks[:lo] {
+		k += len(p.bounds)
+	}
+	return lo, l, k
+}
+
+// pred returns the cursor of the boundary before (ci, j), if any. The
+// end cursor (len(Chunks()), 0) has the last boundary as predecessor.
+func (ix *Index) pred(ci, j int) (int, int, bool) {
+	if j > 0 {
+		return ci, j - 1, true
+	}
+	if ci > 0 {
+		return ci - 1, len(ix.chunks[ci-1].bounds) - 1, true
+	}
+	return 0, 0, false
+}
+
+// next returns the cursor of the boundary after (ci, j), if any.
+func (ix *Index) next(ci, j int) (int, int, bool) {
+	if j+1 < len(ix.chunks[ci].bounds) {
+		return ci, j + 1, true
+	}
+	if ci+1 < len(ix.chunks) {
+		return ci + 1, 0, true
+	}
+	return 0, 0, false
+}
+
+// PosBefore returns the position of the boundary before cursor (ci, j)
+// — the start of the piece that ends at (ci, j) — or 0 when there is
+// none.
+func (ix *Index) PosBefore(ci, j int) int {
+	if pc, pj, ok := ix.pred(ci, j); ok {
+		return ix.chunks[pc].Pos(pj)
+	}
+	return 0
+}
+
+// sameAt is 1 when the boundary at cursor (ci, j), if it exists,
+// sits at pos.
+func (ix *Index) sameAt(ci, j int, ok bool, pos int) int {
+	if ok && ix.chunks[ci].Pos(j) == pos {
+		return 1
+	}
+	return 0
+}
+
+// Lookup returns the position recorded for the exact bound b.
+func (ix *Index) Lookup(b Bound) (int, bool) {
+	ci, j, found := ix.locate(b)
+	if !found {
+		return 0, false
+	}
+	return ix.chunks[ci].Pos(j), true
 }
 
 // Insert records that bound b splits the column at position pos. If the
-// bound already exists its position is overwritten.
+// bound already exists its position is overwritten, which marks the
+// pieces on both sides of it as changed.
 func (ix *Index) Insert(b Bound, pos int) {
-	ix.root = ix.insert(ix.root, b, pos, &neighbours{})
+	ci, j, found := ix.locate(b)
+	pc, pj, hasPred := ix.pred(ci, j)
+	if found {
+		c := ix.chunks[ci]
+		nc, nj, hasNext := ix.next(ci, j)
+		old := c.Pos(j)
+		ix.samePos += ix.sameAt(pc, pj, hasPred, pos) + ix.sameAt(nc, nj, hasNext, pos) -
+			ix.sameAt(pc, pj, hasPred, old) - ix.sameAt(nc, nj, hasNext, old)
+		c.rel[j] = pos - c.base
+		ix.MarkPieceBefore(ci, j)
+		ix.markPiece(ci, j)
+		return
+	}
+	hasSucc := ci < len(ix.chunks)
+	ix.samePos += ix.sameAt(pc, pj, hasPred, pos) + ix.sameAt(ci, j, hasSucc, pos)
+	if hasPred && hasSucc {
+		ix.samePos -= ix.sameAt(ci, j, true, ix.chunks[pc].Pos(pj))
+	}
+	ix.size++
+	capacity := ix.capacity()
+	switch {
+	case len(ix.chunks) == 0:
+		ix.chunks = append(ix.chunks, ix.newChunk(pos))
+		ix.reshaped = true
+	case !hasSucc:
+		ci, j = len(ix.chunks)-1, len(ix.chunks[len(ix.chunks)-1].bounds)
+	}
+	if c := ix.chunks[ci]; len(c.bounds) == capacity {
+		if ci == len(ix.chunks)-1 && j == len(c.bounds) {
+			// Appending past the last boundary (a restore replaying
+			// bounds in order does this): start a fresh chunk and leave
+			// the full one full.
+			ix.insertChunk(ci+1, ix.newChunk(pos))
+			ci, j = ci+1, 0
+		} else {
+			half := len(c.bounds) / 2
+			ix.insertChunk(ci+1, ix.splitOff(c, half))
+			ix.touch(c)
+			if j > half {
+				ci, j = ci+1, j-half
+			}
+		}
+	}
+	ix.chunks[ci].insertAt(j, b, pos)
+	ix.touch(ix.chunks[ci])
+	// The piece before b now ends at b: its bounds changed.
+	ix.MarkPieceBefore(ci, j)
 }
 
-func (ix *Index) insert(n *node, b Bound, pos int, nb *neighbours) *node {
-	if n == nil {
-		ix.size++
-		ix.samePos += nb.at(pos) - nb.adjacent()
-		return &node{bound: b, pos: pos, height: 1}
+func (ix *Index) newChunk(base int) *Chunk {
+	capacity := ix.capacity()
+	return &Chunk{base: base, bounds: make([]Bound, 0, capacity), rel: make([]int, 0, capacity)}
+}
+
+// splitOff moves c's boundaries from slot half onwards into a new chunk.
+func (ix *Index) splitOff(c *Chunk, half int) *Chunk {
+	nc := ix.newChunk(c.base)
+	nc.bounds = append(nc.bounds, c.bounds[half:]...)
+	nc.rel = append(nc.rel, c.rel[half:]...)
+	nc.marked = c.marked >> uint(half)
+	c.bounds, c.rel = c.bounds[:half], c.rel[:half]
+	c.marked &= uint64(1)<<uint(half) - 1
+	ix.touch(nc)
+	return nc
+}
+
+func (ix *Index) insertChunk(at int, c *Chunk) {
+	ix.chunks = append(ix.chunks, nil)
+	copy(ix.chunks[at+1:], ix.chunks[at:])
+	ix.chunks[at] = c
+	ix.reshaped = true
+}
+
+// touch puts c on the change list.
+func (ix *Index) touch(c *Chunk) {
+	if !c.dirty {
+		c.dirty = true
+		ix.changed = append(ix.changed, c)
 	}
-	switch c := b.Compare(n.bound); {
-	case c < 0:
-		nb.pass(n, c)
-		n.left = ix.insert(n.left, b, pos, nb)
-	case c > 0:
-		nb.pass(n, c)
-		n.right = ix.insert(n.right, b, pos, nb)
-	default:
-		nb.around(n)
-		ix.samePos += nb.at(pos) - nb.at(n.pos)
-		n.pos = pos
-		return n
+}
+
+// markPiece marks the piece of boundary (ci, j).
+func (ix *Index) markPiece(ci, j int) {
+	c := ix.chunks[ci]
+	c.marked |= 1 << uint(j)
+	ix.touch(c)
+}
+
+// MarkPieceBefore marks the piece that ends at boundary (ci, j) — the
+// piece of its predecessor, or the piece before the first boundary — as
+// having changed tuples. The end cursor (len(Chunks()), 0) marks the
+// last piece. Ripples and merges call it for every piece that gains or
+// loses a tuple; pieces whose tuples were only rotated need no mark.
+func (ix *Index) MarkPieceBefore(ci, j int) {
+	if pc, pj, ok := ix.pred(ci, j); ok {
+		ix.markPiece(pc, pj)
+	} else {
+		ix.headMarked = true
 	}
-	return rebalance(n)
 }
 
 // Delete removes the boundary for bound b if present and reports
 // whether it was removed. It is used by update policies that merge
 // pieces back together.
 func (ix *Index) Delete(b Bound) bool {
-	var deleted bool
-	ix.root, deleted = ix.delete(ix.root, b, &neighbours{})
-	if deleted {
-		ix.size--
+	ci, j, found := ix.locate(b)
+	if !found {
+		return false
 	}
-	return deleted
-}
-
-func (ix *Index) delete(n *node, b Bound, nb *neighbours) (*node, bool) {
-	if n == nil {
-		return nil, false
+	c := ix.chunks[ci]
+	pos := c.Pos(j)
+	pc, pj, hasPred := ix.pred(ci, j)
+	nc, nj, hasNext := ix.next(ci, j)
+	ix.samePos -= ix.sameAt(pc, pj, hasPred, pos) + ix.sameAt(nc, nj, hasNext, pos)
+	if hasPred && hasNext {
+		ix.samePos += ix.sameAt(nc, nj, true, ix.chunks[pc].Pos(pj))
 	}
-	var deleted bool
-	switch c := b.Compare(n.bound); {
-	case c < 0:
-		nb.pass(n, c)
-		n.left, deleted = ix.delete(n.left, b, nb)
-	case c > 0:
-		nb.pass(n, c)
-		n.right, deleted = ix.delete(n.right, b, nb)
-	default:
-		deleted = true
-		nb.around(n)
-		ix.samePos += nb.adjacent() - nb.at(n.pos)
-		if n.left == nil {
-			return n.right, true
-		}
-		if n.right == nil {
-			return n.left, true
-		}
-		// Replace with in-order successor.
-		succ := minNode(n.right)
-		n.bound, n.pos = succ.bound, succ.pos
-		n.right = deleteMin(n.right)
+	ix.MarkPieceBefore(ci, j)
+	c.removeAt(j)
+	ix.touch(c)
+	if len(c.bounds) == 0 {
+		ix.chunks = append(ix.chunks[:ci], ix.chunks[ci+1:]...)
+		ix.reshaped = true
 	}
-	if !deleted {
-		return n, false
-	}
-	return rebalance(n), true
-}
-
-// deleteMin unlinks the leftmost node of the subtree rooted at n.
-func deleteMin(n *node) *node {
-	if n.left == nil {
-		return n.right
-	}
-	n.left = deleteMin(n.left)
-	return rebalance(n)
+	ix.size--
+	return true
 }
 
 // PieceFor returns the contiguous region of the column (given its total
@@ -245,23 +438,18 @@ func deleteMin(n *node) *node {
 // delimits the piece that has to be cracked, and lower/upper describe
 // the boundaries that enclose it (if any).
 func (ix *Index) PieceFor(b Bound, n int) (piece Piece, exactPos int, exact bool) {
+	ci, j, found := ix.locate(b)
+	if found {
+		return Piece{Start: 0, End: n}, ix.chunks[ci].Pos(j), true
+	}
 	piece = Piece{Start: 0, End: n}
-	cur := ix.root
-	for cur != nil {
-		switch c := b.Compare(cur.bound); {
-		case c == 0:
-			return piece, cur.pos, true
-		case c < 0:
-			piece.End = cur.pos
-			piece.Upper = cur.bound
-			piece.HasUpper = true
-			cur = cur.left
-		default:
-			piece.Start = cur.pos
-			piece.Lower = cur.bound
-			piece.HasLower = true
-			cur = cur.right
-		}
+	if ci < len(ix.chunks) {
+		c := ix.chunks[ci]
+		piece.End, piece.Upper, piece.HasUpper = c.Pos(j), c.bounds[j], true
+	}
+	if pc, pj, ok := ix.pred(ci, j); ok {
+		c := ix.chunks[pc]
+		piece.Start, piece.Lower, piece.HasLower = c.Pos(pj), c.bounds[pj], true
 	}
 	return piece, 0, false
 }
@@ -269,16 +457,11 @@ func (ix *Index) PieceFor(b Bound, n int) (piece Piece, exactPos int, exact bool
 // Boundaries returns all boundaries in increasing bound order.
 func (ix *Index) Boundaries() []Boundary {
 	out := make([]Boundary, 0, ix.size)
-	var walk func(*node)
-	walk = func(n *node) {
-		if n == nil {
-			return
+	for _, c := range ix.chunks {
+		for j, b := range c.bounds {
+			out = append(out, Boundary{Bound: b, Pos: c.Pos(j)})
 		}
-		walk(n.left)
-		out = append(out, Boundary{Bound: n.bound, Pos: n.pos})
-		walk(n.right)
 	}
-	walk(ix.root)
 	return out
 }
 
@@ -286,22 +469,22 @@ func (ix *Index) Boundaries() []Boundary {
 // into, in storage order. Zero-length pieces (two boundaries at the
 // same position) are skipped.
 func (ix *Index) Pieces(n int) []Piece {
-	bs := ix.Boundaries()
-	pieces := make([]Piece, 0, len(bs)+1)
+	pieces := make([]Piece, 0, ix.size+1)
 	start := 0
 	var lower Bound
 	hasLower := false
-	for _, b := range bs {
-		if b.Pos > start {
-			pieces = append(pieces, Piece{
-				Start: start, End: b.Pos,
-				Lower: lower, HasLower: hasLower,
-				Upper: b.Bound, HasUpper: true,
-			})
+	for _, c := range ix.chunks {
+		for j, b := range c.bounds {
+			pos := c.Pos(j)
+			if pos > start {
+				pieces = append(pieces, Piece{
+					Start: start, End: pos,
+					Lower: lower, HasLower: hasLower,
+					Upper: b, HasUpper: true,
+				})
+			}
+			start, lower, hasLower = pos, b, true
 		}
-		start = b.Pos
-		lower = b.Bound
-		hasLower = true
 	}
 	if start < n || len(pieces) == 0 {
 		pieces = append(pieces, Piece{
@@ -312,56 +495,82 @@ func (ix *Index) Pieces(n int) []Piece {
 	return pieces
 }
 
-// NumPieces returns len(Pieces(n)) in O(log P) without materialising
-// the pieces: one piece between each pair of consecutive distinct
-// boundary positions, plus one before the first position unless it is
-// 0 and one after the last unless it is n, and never fewer than one.
+// NumPieces returns len(Pieces(n)) in O(1) without materialising the
+// pieces: one piece between each pair of consecutive distinct boundary
+// positions, plus one before the first position unless it is 0 and one
+// after the last unless it is n, and never fewer than one.
 func (ix *Index) NumPieces(n int) int {
-	if ix.root == nil {
+	if ix.size == 0 {
 		return 1
 	}
 	pieces := ix.size - ix.samePos - 1
-	if minNode(ix.root).pos != 0 {
+	if ix.chunks[0].Pos(0) != 0 {
 		pieces++
 	}
-	if maxNode(ix.root).pos != n {
+	last := ix.chunks[len(ix.chunks)-1]
+	if last.Pos(len(last.bounds)-1) != n {
 		pieces++
 	}
 	return max(pieces, 1)
 }
 
-// remap applies move to every boundary in bound order and recounts
-// samePos in the same walk. The position-shifting operations use it.
-func (ix *Index) remap(move func(*node)) {
-	ix.samePos = 0
-	var prev *node
-	var walk func(*node)
-	walk = func(n *node) {
-		if n.left != nil {
-			walk(n.left)
-		}
-		move(n)
-		ix.samePos += atPos(prev, n.pos)
-		prev = n
-		if n.right != nil {
-			walk(n.right)
+// ShiftFrom adds delta to the position of the boundary at cursor
+// (ci, j) and of every boundary after it: O(chunk) inside chunk ci and
+// one base update per later chunk. Only the equality between the
+// cursor's boundary and its predecessor can change, so the maintained
+// piece count is updated from that one pair.
+func (ix *Index) ShiftFrom(ci, j, delta int) {
+	if ci >= len(ix.chunks) || delta == 0 {
+		return
+	}
+	c := ix.chunks[ci]
+	if pc, pj, ok := ix.pred(ci, j); ok {
+		pp, p := ix.chunks[pc].Pos(pj), c.Pos(j)
+		ix.samePos += b2i(pp == p+delta) - b2i(pp == p)
+	}
+	if j == 0 {
+		c.base += delta
+	} else {
+		for y := j; y < len(c.rel); y++ {
+			c.rel[y] += delta
 		}
 	}
-	if ix.root != nil {
-		walk(ix.root)
+	for _, later := range ix.chunks[ci+1:] {
+		later.base += delta
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ShiftPositions adds delta to the position of every boundary whose
 // position is greater than or equal to fromPos. Update policies use it
 // when tuples are inserted into or removed from the middle of the
-// cracker column.
+// cracker column. Positions are non-decreasing in bound order, so the
+// shifted boundaries are a suffix found by binary search.
 func (ix *Index) ShiftPositions(fromPos, delta int) {
-	ix.remap(func(n *node) {
-		if n.pos >= fromPos {
-			n.pos += delta
+	lo, hi := 0, len(ix.chunks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := ix.chunks[m]; c.Pos(len(c.bounds)-1) < fromPos {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-	})
+	}
+	if lo == len(ix.chunks) {
+		return
+	}
+	c := ix.chunks[lo]
+	j := 0
+	for c.Pos(j) < fromPos {
+		j++
+	}
+	ix.ShiftFrom(lo, j, delta)
 }
 
 // ShiftPositionsFromBound adds delta to the position of every boundary
@@ -370,157 +579,149 @@ func (ix *Index) ShiftPositions(fromPos, delta int) {
 // value lies to the left of may move, even if other boundaries share
 // the same array position (zero-length pieces).
 func (ix *Index) ShiftPositionsFromBound(b Bound, delta int) {
-	ix.remap(func(n *node) {
-		if n.bound.Compare(b) >= 0 {
-			n.pos += delta
+	ci, j, _ := ix.locate(b)
+	ix.ShiftFrom(ci, j, delta)
+}
+
+// Remap replaces the position of every boundary with move(i, pos),
+// where i is the boundary's rank in bound order, and recounts the
+// maintained piece count in the same pass. It is O(P): batched merges
+// and CollapseRange use it. Remap marks nothing; callers mark the pieces
+// whose tuples changed.
+func (ix *Index) Remap(move func(i, pos int) int) {
+	ix.samePos = 0
+	i, prev, hasPrev := 0, 0, false
+	for _, c := range ix.chunks {
+		for j := range c.rel {
+			pos := move(i, c.Pos(j))
+			c.rel[j] = pos - c.base
+			if hasPrev && prev == pos {
+				ix.samePos++
+			}
+			i, prev, hasPrev = i+1, pos, true
 		}
-	})
+	}
 }
 
 // CollapseRange records the physical removal of the tuples stored in
 // positions [start, end): boundaries inside the removed region collapse
 // onto start and boundaries beyond it shift left by the removed width.
 // Hybrid adaptive indexes use it when they migrate a cracked piece out
-// of an initial partition into the final partition.
+// of an initial partition into the final partition. Every piece is
+// marked changed.
 func (ix *Index) CollapseRange(start, end int) {
 	if end <= start {
 		return
 	}
 	width := end - start
-	ix.remap(func(n *node) {
+	ix.Remap(func(_, pos int) int {
 		switch {
-		case n.pos > end:
-			n.pos -= width
-		case n.pos > start:
-			n.pos = start
+		case pos > end:
+			return pos - width
+		case pos > start:
+			return start
 		}
+		return pos
 	})
+	for _, c := range ix.chunks {
+		c.marked = ^uint64(0) >> uint(64-len(c.bounds))
+		ix.touch(c)
+	}
+	ix.headMarked = true
 }
 
 // Clear removes all boundaries.
 func (ix *Index) Clear() {
-	ix.root = nil
-	ix.size = 0
-	ix.samePos = 0
+	for _, c := range ix.changed {
+		c.dirty = false
+	}
+	*ix = Index{chunkCap: ix.chunkCap, headMarked: true, reshaped: true}
+}
+
+// Changes reports what changed since the last ClearChanges: the chunks
+// whose bounds changed or whose pieces were marked (a chunk removed
+// since may still be listed), whether the piece before the first
+// boundary was marked, and whether chunks were split, removed or
+// cleared — after which chunk indices moved and only each chunk's
+// Dirty flag, not its place in the list, can be trusted.
+func (ix *Index) Changes() (dirty []*Chunk, headMarked, reshaped bool) {
+	return ix.changed, ix.headMarked, ix.reshaped
+}
+
+// ClearChanges forgets the recorded changes: O(changed chunks).
+func (ix *Index) ClearChanges() {
+	for _, c := range ix.changed {
+		c.dirty = false
+		c.marked = 0
+	}
+	ix.changed = ix.changed[:0]
+	ix.headMarked, ix.reshaped = false, false
+}
+
+// ChunkIndex returns c's index in Chunks(), or -1 when c is no longer
+// part of the index.
+func (ix *Index) ChunkIndex(c *Chunk) int {
+	if len(c.bounds) == 0 {
+		return -1
+	}
+	ci, _, _ := ix.locate(c.bounds[0])
+	if ci < len(ix.chunks) && ix.chunks[ci] == c {
+		return ci
+	}
+	return -1
+}
+
+// checkChunks validates the chunk structure alone: no chunk empty or
+// over capacity, mark bits only on existing slots, bounds strictly
+// increasing across the whole index, and the maintained size.
+func (ix *Index) checkChunks() error {
+	size := 0
+	var prev Bound
+	for ci, c := range ix.chunks {
+		if len(c.bounds) == 0 || len(c.bounds) > ix.capacity() || len(c.rel) != len(c.bounds) {
+			return fmt.Errorf("chunk %d holds %d bounds and %d positions (capacity %d)", ci, len(c.bounds), len(c.rel), ix.capacity())
+		}
+		if c.marked>>uint(len(c.bounds)) != 0 {
+			return fmt.Errorf("chunk %d has mark bits beyond its %d bounds", ci, len(c.bounds))
+		}
+		for j, b := range c.bounds {
+			if size > 0 && prev.Compare(b) >= 0 {
+				return fmt.Errorf("boundaries out of order: %s then %s (chunk %d slot %d)", prev, b, ci, j)
+			}
+			prev = b
+			size++
+		}
+	}
+	if size != ix.size {
+		return fmt.Errorf("index records %d boundaries, chunks hold %d", ix.size, size)
+	}
+	return nil
 }
 
 // Validate checks the structural invariants of the index against a
-// column of length n: binary-search-tree ordering of the bounds, AVL
-// balance, monotonically non-decreasing positions in bound order
-// within [0, n], and a maintained piece count equal to len(Pieces(n)).
-// It returns an error describing the first violation. Tests and the
-// crackview tool use it.
+// column of length n: the chunk structure (see checkChunks), absolute
+// positions within [0, n] and non-decreasing in bound order, and a
+// maintained piece count equal to len(Pieces(n)). It returns an error
+// describing the first violation. Tests and the crackview tool use it.
 func (ix *Index) Validate(n int) error {
-	if err := validateNode(ix.root, nil, nil); err != nil {
+	if err := ix.checkChunks(); err != nil {
 		return err
 	}
-	bs := ix.Boundaries()
 	prevPos := 0
-	for i, b := range bs {
-		if b.Pos < 0 || b.Pos > n {
-			return fmt.Errorf("boundary %s has position %d outside [0,%d]", b.Bound, b.Pos, n)
-		}
-		if b.Pos < prevPos {
-			return fmt.Errorf("boundary %s at position %d precedes previous boundary position %d", b.Bound, b.Pos, prevPos)
-		}
-		prevPos = b.Pos
-		if i > 0 && bs[i-1].Bound.Compare(b.Bound) >= 0 {
-			return fmt.Errorf("boundaries out of order: %s then %s", bs[i-1].Bound, b.Bound)
+	for _, c := range ix.chunks {
+		for j, b := range c.bounds {
+			pos := c.Pos(j)
+			if pos < 0 || pos > n {
+				return fmt.Errorf("boundary %s has position %d outside [0,%d]", b, pos, n)
+			}
+			if pos < prevPos {
+				return fmt.Errorf("boundary %s at position %d precedes previous boundary position %d", b, pos, prevPos)
+			}
+			prevPos = pos
 		}
 	}
 	if got, want := ix.NumPieces(n), len(ix.Pieces(n)); got != want {
 		return fmt.Errorf("maintained piece count %d, want %d", got, want)
 	}
 	return nil
-}
-
-func validateNode(n *node, min, max *Bound) error {
-	if n == nil {
-		return nil
-	}
-	if min != nil && n.bound.Compare(*min) <= 0 {
-		return fmt.Errorf("BST violation: %s not greater than %s", n.bound, *min)
-	}
-	if max != nil && n.bound.Compare(*max) >= 0 {
-		return fmt.Errorf("BST violation: %s not less than %s", n.bound, *max)
-	}
-	lh, rh := height(n.left), height(n.right)
-	if diff := lh - rh; diff < -1 || diff > 1 {
-		return fmt.Errorf("AVL violation at %s: left height %d right height %d", n.bound, lh, rh)
-	}
-	if n.height != 1+maxInt(lh, rh) {
-		return fmt.Errorf("stale height at %s", n.bound)
-	}
-	if err := validateNode(n.left, min, &n.bound); err != nil {
-		return err
-	}
-	return validateNode(n.right, &n.bound, max)
-}
-
-func minNode(n *node) *node {
-	for n.left != nil {
-		n = n.left
-	}
-	return n
-}
-
-func maxNode(n *node) *node {
-	for n.right != nil {
-		n = n.right
-	}
-	return n
-}
-
-func height(n *node) int {
-	if n == nil {
-		return 0
-	}
-	return n.height
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func updateHeight(n *node) {
-	n.height = 1 + maxInt(height(n.left), height(n.right))
-}
-
-func rotateRight(y *node) *node {
-	x := y.left
-	y.left = x.right
-	x.right = y
-	updateHeight(y)
-	updateHeight(x)
-	return x
-}
-
-func rotateLeft(x *node) *node {
-	y := x.right
-	x.right = y.left
-	y.left = x
-	updateHeight(x)
-	updateHeight(y)
-	return y
-}
-
-func rebalance(n *node) *node {
-	updateHeight(n)
-	balance := height(n.left) - height(n.right)
-	switch {
-	case balance > 1:
-		if height(n.left.left) < height(n.left.right) {
-			n.left = rotateLeft(n.left)
-		}
-		return rotateRight(n)
-	case balance < -1:
-		if height(n.right.right) < height(n.right.left) {
-			n.right = rotateRight(n.right)
-		}
-		return rotateLeft(n)
-	}
-	return n
 }

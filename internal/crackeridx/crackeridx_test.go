@@ -277,10 +277,16 @@ func TestValidateDetectsBadPositions(t *testing.T) {
 }
 
 // Random insert/delete/lookup torture test against a reference map,
-// also checking AVL balance throughout.
+// also checking the chunk structure, with default and with tiny chunks
+// (so splits and emptied chunks happen throughout).
 func TestRandomizedAgainstReference(t *testing.T) {
+	for _, capacity := range []int{0, 4} {
+		randomizedAgainstReference(t, &Index{chunkCap: capacity})
+	}
+}
+
+func randomizedAgainstReference(t *testing.T, ix *Index) {
 	rng := rand.New(rand.NewSource(42))
-	ix := New()
 	ref := make(map[Bound]int)
 	for step := 0; step < 5000; step++ {
 		v := column.Value(rng.Intn(200))
@@ -307,9 +313,9 @@ func TestRandomizedAgainstReference(t *testing.T) {
 		if ix.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, want %d", step, ix.Len(), len(ref))
 		}
-	}
-	if err := validateNode(ix.root, nil, nil); err != nil {
-		t.Fatal(err)
+		if err := ix.checkChunks(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 	bs := ix.Boundaries()
 	if len(bs) != len(ref) {

@@ -16,6 +16,11 @@ const (
 	genValues  = 12
 )
 
+// genCaps are the chunk capacities the generator runs under: the
+// default, and chunks of four so splits and emptied chunks happen every
+// few ops.
+var genCaps = []int{0, 4}
+
 // intSource draws bounded integers. *rand.Rand satisfies it, and so
 // does byteSource, so one op generator drives both the seeded test and
 // the fuzz target.
@@ -147,26 +152,35 @@ func TestNumPiecesEdgeCases(t *testing.T) {
 }
 
 func TestPieceCountMatchesPiecesUnderRandomOps(t *testing.T) {
-	var emptyColumn, zeroLength int
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ix := New()
-		n := rng.Intn(4)
-		for step := 0; step < 2000; step++ {
-			op := pieceOp(ix, &n, rng)
-			checkPieceCount(t, ix, n, step, op)
-			if n == 0 && ix.Len() > 0 {
-				emptyColumn++
-			}
-			if ix.samePos > 0 {
-				zeroLength++
+	for _, capacity := range genCaps {
+		var emptyColumn, zeroLength, multiChunk, emptied int
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ix := &Index{chunkCap: capacity}
+			n := rng.Intn(4)
+			for step := 0; step < 2000; step++ {
+				chunks := len(ix.chunks)
+				op := pieceOp(ix, &n, rng)
+				checkPieceCount(t, ix, n, step, op)
+				if n == 0 && ix.Len() > 0 {
+					emptyColumn++
+				}
+				if ix.samePos > 0 {
+					zeroLength++
+				}
+				if len(ix.chunks) > 1 {
+					multiChunk++
+				}
+				if len(ix.chunks) < chunks && ix.Len() > 0 {
+					emptied++
+				}
 			}
 		}
-	}
-	// The generator must actually reach the edge cases it exists for.
-	if emptyColumn == 0 || zeroLength == 0 {
-		t.Fatalf("generator coverage: %d steps on an empty column with boundaries, %d with zero-length pieces",
-			emptyColumn, zeroLength)
+		// The generator must actually reach the edge cases it exists for.
+		if emptyColumn == 0 || zeroLength == 0 || (capacity > 0 && (multiChunk == 0 || emptied == 0)) {
+			t.Fatalf("capacity %d, generator coverage: %d steps on an empty column with boundaries, %d with zero-length pieces, %d with several chunks, %d emptying a chunk",
+				capacity, emptyColumn, zeroLength, multiChunk, emptied)
+		}
 	}
 }
 
@@ -177,12 +191,14 @@ func FuzzPieceCount(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src := byteSource(data)
-		ix := New()
-		n := src.Intn(genMaxRows + 1)
-		for step := 0; len(src) > 0; step++ {
-			op := pieceOp(ix, &n, &src)
-			checkPieceCount(t, ix, n, step, op)
+		for _, capacity := range genCaps {
+			src := byteSource(data)
+			ix := &Index{chunkCap: capacity}
+			n := src.Intn(genMaxRows + 1)
+			for step := 0; len(src) > 0; step++ {
+				op := pieceOp(ix, &n, &src)
+				checkPieceCount(t, ix, n, step, op)
+			}
 		}
 	})
 }

@@ -86,10 +86,13 @@ type Table struct {
 	// registered — the part a deterministic catalog generator can
 	// rebuild. Rows at and beyond baseRows were appended through the
 	// write path and must be carried by snapshots.
-	baseRows    int
-	baseFrozen  bool
-	deadRows    map[column.RowID]bool
-	deadCount   int
+	baseRows   int
+	baseFrozen bool
+	deadRows   map[column.RowID]bool
+	// deadLog lists the tombstoned rows in deletion order. It is
+	// append-only, so an epoch shares a prefix of it instead of copying
+	// deadRows.
+	deadLog     []column.RowID
 	writeEpochs uint64
 }
 
@@ -107,7 +110,7 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) NumRows() int { return t.nrows }
 
 // LiveRows returns the number of live (not tombstoned) tuples.
-func (t *Table) LiveRows() int { return t.nrows - t.deadCount }
+func (t *Table) LiveRows() int { return t.nrows - len(t.deadLog) }
 
 // BaseRows returns the number of rows present before the first append.
 func (t *Table) BaseRows() int {
@@ -160,7 +163,7 @@ func (t *Table) DeleteRow(row column.RowID) error {
 		t.deadRows = make(map[column.RowID]bool)
 	}
 	t.deadRows[row] = true
-	t.deadCount++
+	t.deadLog = append(t.deadLog, row)
 	t.writeEpochs++
 	return nil
 }
@@ -186,7 +189,7 @@ func (t *Table) livePairs(col string) (column.Pairs, error) {
 	}
 	pairs := make(column.Pairs, 0, t.LiveRows())
 	for i, v := range vals {
-		if t.deadCount > 0 && t.deadRows[column.RowID(i)] {
+		if len(t.deadLog) > 0 && t.deadRows[column.RowID(i)] {
 			continue
 		}
 		pairs = append(pairs, column.Pair{Val: v, Row: column.RowID(i)})
@@ -636,7 +639,7 @@ func (e *Engine) SelectRows(table, attr string, r column.Range, path AccessPath)
 		if err != nil {
 			return nil, err
 		}
-		if t.deadCount == 0 {
+		if len(t.deadLog) == 0 {
 			// Tombstone-free tables take the branchless kernel; it
 			// charges exactly the work the loop below would.
 			return core.ScanSelect(vals, r, &e.c), nil
@@ -696,7 +699,7 @@ func (e *Engine) CountRows(table, attr string, r column.Range, path AccessPath) 
 		if err != nil {
 			return 0, err
 		}
-		if t.deadCount == 0 {
+		if len(t.deadLog) == 0 {
 			return core.ScanCount(vals, r, &e.c), nil
 		}
 		n := 0
@@ -892,8 +895,8 @@ func (e *Engine) Run(q Query) (*Result, error) {
 
 // piecesFor returns the cracked-piece count of the adaptive structure
 // the path would use on tc, or 0 when it has not been built. The
-// count is maintained by the cracker indexes, so Run pays O(log P)
-// for it, not a walk over the pieces.
+// count is maintained by the cracker indexes, so Run pays O(1) per
+// index for it, not a walk over the pieces.
 func (e *Engine) piecesFor(tc TableColumn, path AccessPath) int {
 	switch path {
 	case PathCracking:
@@ -1029,7 +1032,7 @@ func (e *Engine) JoinCount(table1, attr1, table2, attr2 string) (int, error) {
 	ht := make(map[column.Value]int, len(build))
 	for i, v := range build {
 		e.c.ValuesTouched++
-		if buildT.deadCount > 0 && buildT.deadRows[column.RowID(i)] {
+		if len(buildT.deadLog) > 0 && buildT.deadRows[column.RowID(i)] {
 			continue
 		}
 		ht[v]++
@@ -1037,7 +1040,7 @@ func (e *Engine) JoinCount(table1, attr1, table2, attr2 string) (int, error) {
 	matches := 0
 	for i, v := range probe {
 		e.c.ValuesTouched++
-		if probeT.deadCount > 0 && probeT.deadRows[column.RowID(i)] {
+		if len(probeT.deadLog) > 0 && probeT.deadRows[column.RowID(i)] {
 			continue
 		}
 		e.c.Comparisons++

@@ -4,15 +4,23 @@
 // goroutine must own it. Epochs decouple reads from that constraint.
 // The owning goroutine (the service's reorganiser/executor) calls
 // PublishEpoch between reorganisations to capture an immutable view —
-// a copy-on-crack piece catalog per cracked column (core.ColSnapshot),
-// row-sorted pending-update buffers, and length-frozen base-array
-// views per table — published atomically behind an atomic.Pointer.
-// Any number of reader goroutines then Pin the current epoch and
-// Select/Count/project against it without locks; reads that cross an
-// uncracked piece boundary (or see pending updates) report a crack
-// intent, which the caller hands back to the owner as deferred
-// reorganisation (ApplyIntent). Old epochs are retired when their pin
-// count returns to zero.
+// a piece catalog per cracked column (core.ColSnapshot), prefixes of
+// the append-only pending-update logs, and length-frozen base-array
+// views plus a tombstone-log prefix per table — published atomically
+// behind an atomic.Pointer. Any number of reader goroutines then Pin
+// the current epoch and Select/Count/project against it without locks;
+// reads that cross an uncracked piece boundary report a crack intent,
+// which the caller hands back to the owner as deferred reorganisation
+// (ApplyIntent). Old epochs are retired when their pin count returns to
+// zero.
+//
+// Publication costs what changed since the last epoch: a write that
+// only buffered rows reuses the column's catalog outright, and a
+// reorganisation recopies only the pieces it touched (see
+// core.CrackerColumn.Snapshot). Beside epoch readers, pending updates
+// are not ripple-merged by the reads that see them: an intent only
+// cracks, and once a column's backlog reaches its threshold the owner
+// drains it with one batched sweep (MergePending).
 //
 // Determinism: publication charges nothing to the cost counters, and
 // reader work is accumulated in separate atomic tallies — the engine's
@@ -23,6 +31,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"adaptiveindex/internal/column"
@@ -32,15 +41,16 @@ import (
 )
 
 // epochColumn is one cracked column's immutable epoch view: the piece
-// catalog of the merged tuples plus the pending buffers a reader must
-// patch in (inserts appended, deletions filtered via delSet).
+// catalog of the merged tuples plus the pending updates a reader must
+// patch in (see updates.Column.PendingLogs).
 type epochColumn struct {
 	snap    *core.ColSnapshot
 	pendIns column.Pairs
 	pendDel column.Pairs
-	delSet  map[column.RowID]bool
-	// ccVer/bufVer fingerprint the live column state this view was
-	// taken from; publication reuses the view while they are unchanged.
+	// cc, ccVer and bufVer fingerprint the live column state this view
+	// was taken from; publication reuses the catalog while cc and ccVer
+	// are unchanged, and the whole view while bufVer is too.
+	cc     *core.CrackerColumn
 	ccVer  uint64
 	bufVer uint64
 }
@@ -48,14 +58,32 @@ type epochColumn struct {
 // epochTable is one table's immutable epoch view: length-frozen slice
 // headers of the base column arrays (appends beyond nrows never touch
 // indexes below it, and a reallocating append leaves the old array
-// behind — both safe to read concurrently), plus a copied tombstone
-// set.
+// behind — both safe to read concurrently), plus a prefix of the
+// table's append-only tombstone log.
 type epochTable struct {
-	nrows     int
-	cols      map[string][]column.Value
-	dead      map[column.RowID]bool
-	deadCount int
-	fp        uint64 // Table.writeEpochs at capture
+	nrows int
+	cols  map[string][]column.Value
+	dead  []column.RowID
+	fp    uint64 // Table.writeEpochs at capture
+
+	// deadSet indexes dead for the scan path, built by the first read
+	// that needs it.
+	deadOnce sync.Once
+	deadSet  map[column.RowID]bool
+}
+
+// isDead reports whether row was tombstoned when the epoch was taken.
+func (et *epochTable) isDead(row column.RowID) bool {
+	if len(et.dead) == 0 {
+		return false
+	}
+	et.deadOnce.Do(func() {
+		et.deadSet = make(map[column.RowID]bool, len(et.dead))
+		for _, r := range et.dead {
+			et.deadSet[r] = true
+		}
+	})
+	return et.deadSet[row]
 }
 
 // Epoch is one published immutable view of the whole engine. Readers
@@ -180,18 +208,16 @@ func (e *Engine) PublishEpoch() *Epoch {
 			next.cols[k] = old
 			continue
 		}
-		var prev *core.ColSnapshot
-		if old != nil {
-			prev = old.snap
+		ec := &epochColumn{cc: uc.Cracker(), ccVer: ccVer, bufVer: bufVer}
+		switch {
+		case old != nil && old.cc == ec.cc && old.ccVer == ccVer:
+			ec.snap = old.snap
+		case old != nil && old.cc == ec.cc:
+			ec.snap = ec.cc.Snapshot(old.snap)
+		default:
+			ec.snap = ec.cc.Snapshot(nil)
 		}
-		snap, pendIns, pendDel := uc.Snapshot(prev)
-		ec := &epochColumn{snap: snap, pendIns: pendIns, pendDel: pendDel, ccVer: ccVer, bufVer: bufVer}
-		if len(pendDel) > 0 {
-			ec.delSet = make(map[column.RowID]bool, len(pendDel))
-			for _, p := range pendDel {
-				ec.delSet[p.Row] = true
-			}
-		}
+		ec.pendIns, ec.pendDel = uc.PendingLogs()
 		next.cols[k] = ec
 	}
 	for name, t := range e.cat.tables {
@@ -204,19 +230,13 @@ func (e *Engine) PublishEpoch() *Epoch {
 			continue
 		}
 		et := &epochTable{
-			nrows:     t.nrows,
-			cols:      make(map[string][]column.Value, len(t.cols)),
-			deadCount: t.deadCount,
-			fp:        t.writeEpochs,
+			nrows: t.nrows,
+			cols:  make(map[string][]column.Value, len(t.cols)),
+			dead:  t.deadLog[:len(t.deadLog):len(t.deadLog)],
+			fp:    t.writeEpochs,
 		}
 		for cn, vals := range t.cols {
 			et.cols[cn] = vals[:t.nrows:t.nrows]
-		}
-		if t.deadCount > 0 {
-			et.dead = make(map[column.RowID]bool, len(t.deadRows))
-			for row := range t.deadRows {
-				et.dead[row] = true
-			}
 		}
 		next.tables[name] = et
 	}
@@ -301,7 +321,7 @@ func (e *Engine) epochAnswer(ep *Epoch, et *epochTable, q Query, c *cost.Counter
 			n := 0
 			for i, v := range vals {
 				c.ValuesTouched++
-				if et.deadCount > 0 && et.dead[column.RowID(i)] {
+				if et.isDead(column.RowID(i)) {
 					continue
 				}
 				c.Comparisons++
@@ -314,7 +334,7 @@ func (e *Engine) epochAnswer(ep *Epoch, et *epochTable, q Query, c *cost.Counter
 			var rows column.IDList
 			for i, v := range vals {
 				c.ValuesTouched++
-				if et.deadCount > 0 && et.dead[column.RowID(i)] {
+				if et.isDead(column.RowID(i)) {
 					continue
 				}
 				c.Comparisons++
@@ -327,6 +347,8 @@ func (e *Engine) epochAnswer(ep *Epoch, et *epochTable, q Query, c *cost.Counter
 			res.Count = len(rows)
 		}
 	case q.CountOnly:
+		// Pending updates are patched in, not a reason to reorganise:
+		// the owner drains them in batches.
 		n, boundary := ec.snap.Count(q.R, c)
 		needsReorg = boundary
 		for _, p := range ec.pendDel {
@@ -341,21 +363,19 @@ func (e *Engine) epochAnswer(ep *Epoch, et *epochTable, q Query, c *cost.Counter
 				n++
 			}
 		}
-		if len(ec.pendIns)+len(ec.pendDel) > 0 {
-			needsReorg = true
-		}
 		res.Count = n
 	default:
 		rows, boundary := ec.snap.Select(q.R, c)
 		needsReorg = boundary
-		if len(ec.delSet) > 0 {
-			kept := rows[:0]
-			for _, row := range rows {
-				if !ec.delSet[row] {
-					kept = append(kept, row)
+		var dropped map[column.RowID]bool
+		for _, p := range ec.pendDel {
+			c.Comparisons++
+			if q.R.Contains(p.Val) {
+				if dropped == nil {
+					dropped = make(map[column.RowID]bool)
 				}
+				dropped[p.Row] = true
 			}
-			rows = kept
 		}
 		for _, p := range ec.pendIns {
 			c.Comparisons++
@@ -364,8 +384,14 @@ func (e *Engine) epochAnswer(ep *Epoch, et *epochTable, q Query, c *cost.Counter
 				c.TuplesCopied++
 			}
 		}
-		if len(ec.pendIns)+len(ec.pendDel) > 0 {
-			needsReorg = true
+		if dropped != nil {
+			kept := rows[:0]
+			for _, row := range rows {
+				if !dropped[row] {
+					kept = append(kept, row)
+				}
+			}
+			rows = kept
 		}
 		res.Rows = rows
 		res.Count = len(rows)
@@ -388,24 +414,71 @@ func (e *Engine) epochAnswer(ep *Epoch, et *epochTable, q Query, c *cost.Counter
 	return res, needsReorg
 }
 
-// ApplyIntent runs one deferred crack on the owning goroutine: the
-// intent's predicate executes as a count-only cracking query (creating
-// the cracker column on first touch, cracking the boundary pieces, and
-// flushing whatever pending updates the merge policy owes), and the
-// non-recurring share of the work it caused is re-attributed to
-// MergeWork — reorganisation moved off the query path is priced like
-// merge work, which the planner's recurring component already models.
+// ApplyIntent runs one deferred crack on the owning goroutine: it
+// creates the cracker column on first touch and cracks the pieces the
+// intent's predicate ends in, but merges no pending updates (see
+// MergePending). The non-recurring share of the work is re-attributed
+// to MergeWork — reorganisation moved off the query path is priced
+// like merge work, which the planner's recurring component already
+// models.
 func (e *Engine) ApplyIntent(in Intent) error {
-	before := e.Cost()
-	if _, err := e.Run(Query{Table: in.Table, Column: in.Column, R: in.R, CountOnly: true, Path: PathCracking}); err != nil {
+	t, err := e.cat.Table(in.Table)
+	if err != nil {
 		return err
 	}
-	delta := e.Cost().Sub(before)
+	uc, err := e.crackerFor(t, in.Column)
+	if err != nil {
+		return err
+	}
+	tc := key(in.Table, in.Column)
+	piecesBefore := uc.Cracker().NumPieces()
+	ins, del, _ := e.mergedFor(tc)
+	before := uc.Cost()
+	uc.Crack(in.R)
+	delta := uc.Cost().Sub(before)
 	if t, r := delta.Total(), delta.Recurring(); t > r {
 		e.c.MergeWork += t - r
 	}
+	if e.events != nil {
+		e.emitReorgEvents(tc, PathCracking, piecesBefore, ins, del)
+	}
 	e.intentsApplied.Add(1)
 	return nil
+}
+
+// MergeDue reports whether some cracked column's pending backlog has
+// reached the threshold at which one batched sweep beats per-row
+// ripples (updates.Column.MergeThreshold). It is O(cracked columns).
+func (e *Engine) MergeDue() bool {
+	for _, uc := range e.crackers {
+		if uc.PendingRows() >= uc.MergeThreshold() {
+			return true
+		}
+	}
+	return false
+}
+
+// MergePending drains the pending updates of every cracked column whose
+// backlog reached its threshold — of every column with any backlog when
+// all is set — with one batched sweep per column, charged to MergeWork,
+// and returns the number of rows merged. Beside epoch readers this is
+// how buffered writes reach the cracked layouts; it must run on the
+// owning goroutine.
+func (e *Engine) MergePending(all bool) int {
+	merged := 0
+	for tc, uc := range e.crackers {
+		pending := uc.PendingRows()
+		if pending == 0 || (!all && pending < uc.MergeThreshold()) {
+			continue
+		}
+		pieces := uc.Cracker().NumPieces()
+		ins, del, _ := e.mergedFor(tc)
+		merged += uc.MergeBatch()
+		if e.events != nil {
+			e.emitReorgEvents(tc, PathCracking, pieces, ins, del)
+		}
+	}
+	return merged
 }
 
 // EpochStats reports the epoch machinery's counters. Safe from any

@@ -13,8 +13,9 @@ import (
 // TestEpochReadsRaceWithReorganiser is the epoch machinery's
 // concurrency contract, meant to run under -race: N reader goroutines
 // hammer one column with epoch-pinned reads while the owner goroutine
-// interleaves writes, crack-intent application (crack splits and merge
-// flushes) and epoch publication. Every read must observe exactly the
+// interleaves writes, crack-intent application (crack splits only),
+// batched merges of the pending backlog once it is due, and epoch
+// publication. Every read must observe exactly the
 // visible row set of the epoch it pinned: the owner records the
 // expected count for a fixed probe range before each publication, and
 // readers check whatever epoch they land on against that record.
@@ -190,6 +191,7 @@ func TestEpochReadsRaceWithReorganiser(t *testing.T) {
 				break drain
 			}
 		}
+		eng.MergePending(false)
 		count := countTruth()
 		expected.Store(lastSeq+1, count)
 		ep := eng.PublishEpoch()
@@ -209,8 +211,14 @@ func TestEpochReadsRaceWithReorganiser(t *testing.T) {
 	default:
 	}
 
-	// Convergence: apply everything still queued, publish, and the final
-	// epoch must agree with the owner's truth.
+	// The backlog reached its threshold during the rounds: batched
+	// merges ran beside the readers, not only at quiesce.
+	if ws := eng.WriteStats(); ws.MergedInserts == 0 {
+		t.Fatalf("no batched merge ran during the rounds: %+v", ws)
+	}
+
+	// Convergence: apply everything still queued, drain the backlog,
+	// publish, and the final epoch must agree with the owner's truth.
 	for {
 		select {
 		case in := <-intents:
@@ -221,6 +229,10 @@ func TestEpochReadsRaceWithReorganiser(t *testing.T) {
 		default:
 		}
 		break
+	}
+	eng.MergePending(true)
+	if ws := eng.WriteStats(); ws.PendingInserts+ws.PendingDeletes != 0 {
+		t.Fatalf("pending updates left after a full merge: %+v", ws)
 	}
 	eng.PublishEpoch()
 	res, info, err := eng.EpochRead(Query{Table: "orders", Column: "amount", R: probe, CountOnly: true})

@@ -9,6 +9,7 @@ import (
 
 	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
+	"adaptiveindex/internal/engine"
 )
 
 // TestEpochReadersRaceWithWrites is the service-level concurrency
@@ -16,9 +17,10 @@ import (
 // goroutines hammer the epoch read pool with counts and projected
 // selects while a writer streams inserts and deletes through the
 // serialised write path and the background reorganiser cracks off the
-// query path. The writer only ever touches values outside the queried
-// band, so every answer stays checkable against the initial brute-force
-// reference even while the write stream runs.
+// query path and merges the write backlog in batches. The writer only
+// ever touches values outside the queried band, so every answer stays
+// checkable against the initial brute-force reference even while the
+// write stream runs; closing the service drains the backlog.
 func TestEpochReadersRaceWithWrites(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -139,6 +141,55 @@ func TestEpochReadersRaceWithWrites(t *testing.T) {
 			if st.Reorg.Epoch.IntentsApplied == 0 {
 				t.Fatal("the reorganiser never applied a crack intent")
 			}
+			if ws := st.WriteState; ws.PendingInserts+ws.PendingDeletes != 0 || ws.MergedInserts == 0 {
+				t.Fatalf("closing must leave the write backlog merged: %+v", ws)
+			}
 		})
+	}
+}
+
+// TestEpochReadOverPendingRowsRaisesNoIntent pins that buffered writes
+// alone never ask the reorganiser for work: a read whose bounds are
+// already cracked answers over a non-empty pending buffer by patching
+// the pending rows in, and enqueues no intent.
+func TestEpochReadOverPendingRowsRaisesNoIntent(t *testing.T) {
+	const n = 20_000
+	eng, vals := testEngine(t, n)
+	r := column.NewRange(1000, 2000)
+	if _, err := eng.Run(engine.Query{Table: "data", Column: "c0", R: r, CountOnly: true, Path: engine.PathCracking}); err != nil {
+		t.Fatal(err)
+	}
+	want := refCount(vals, r)
+	svc, err := NewService(Config{Engine: eng, DefaultTable: "data", DefaultPath: "auto", Readers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	tab, err := eng.Catalog().Table("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]column.Value, len(tab.Columns()))
+	row[0] = 1500
+	if _, err := svc.Apply([]api.WriteOp{{Table: "data", Insert: [][]column.Value{row}}}); err != nil {
+		t.Fatal(err)
+	}
+	if ws := eng.WriteStats(); ws.PendingInserts != 1 {
+		t.Fatalf("the insert should be buffered: %+v", ws)
+	}
+	got, err := svc.CountQuery(Query{R: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := svc.SelectQuery(Query{R: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply.Done()
+	if got != want+1 || len(reply.Rows) != want+1 {
+		t.Fatalf("count %d, select %d rows, want %d", got, len(reply.Rows), want+1)
+	}
+	if st := svc.Stats(); st.Reorg.IntentsQueued != 0 || st.Reorg.IntentsDropped != 0 {
+		t.Fatalf("reads over cracked bounds raised intents: %+v", st.Reorg)
 	}
 }

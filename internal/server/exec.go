@@ -56,6 +56,12 @@ type Exec interface {
 	// from any goroutine).
 	ApplyIntent(in engine.Intent) error
 	EpochStats() engine.EpochStats
+	// MergeDue reports whether some cracked column's pending backlog
+	// has reached its batch-merge threshold; MergePending drains those
+	// backlogs (every backlog when all is set) with one batched sweep
+	// per column and returns the rows merged. Owner-goroutine only.
+	MergeDue() bool
+	MergePending(all bool) int
 }
 
 // singleExec adapts a bare engine to the Exec surface.
@@ -92,3 +98,5 @@ func (x singleExec) EpochRead(q engine.Query) (*engine.Result, engine.EpochInfo,
 
 func (x singleExec) ApplyIntent(in engine.Intent) error { return x.eng.ApplyIntent(in) }
 func (x singleExec) EpochStats() engine.EpochStats      { return x.eng.EpochStats() }
+func (x singleExec) MergeDue() bool                     { return x.eng.MergeDue() }
+func (x singleExec) MergePending(all bool) int          { return x.eng.MergePending(all) }

@@ -236,11 +236,13 @@ type Service struct {
 
 	// Epoch read machinery (nil/zero unless cfg.Readers > 1).
 	// readerSem admits up to Readers concurrent epoch reads; intents
-	// queues the cracks those reads deferred; reorgDone signals the
-	// direct-mode reorganiser goroutine has exited.
+	// queues the cracks those reads deferred; mergeDue wakes the
+	// direct-mode reorganiser when a write left a backlog due for a
+	// batched merge; reorgDone signals that reorganiser has exited.
 	readers        int
 	readerSem      chan struct{}
 	intents        chan intentReq
+	mergeDue       chan struct{}
 	reorgDone      chan struct{}
 	intentsQueued  atomic.Uint64
 	intentsDropped atomic.Uint64
@@ -339,6 +341,7 @@ func NewService(cfg Config) (*Service, error) {
 		s.readers = cfg.Readers
 		s.readerSem = make(chan struct{}, cfg.Readers)
 		s.intents = make(chan intentReq, cfg.MaxInFlight)
+		s.mergeDue = make(chan struct{}, 1)
 		// Publish the first epoch before any goroutine starts, so epoch
 		// reads never observe an engine without one.
 		exec.PublishEpoch()
@@ -482,6 +485,12 @@ func (s *Service) Apply(ops []api.WriteOp) (WriteReply, error) {
 		res = s.executeWrite(ops)
 		if s.readers > 1 {
 			s.exec.PublishEpoch()
+			if s.exec.MergeDue() {
+				select {
+				case s.mergeDue <- struct{}{}:
+				default:
+				}
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -656,51 +665,76 @@ func (s *Service) executeEpochRead(o op, eq engine.Query, rec *trace.Recorder) r
 	return result{reply: reply}
 }
 
-// applyIntents applies one dequeued intent plus everything immediately
-// behind it, then publishes the next epoch. It must run wherever the
-// executor is owned: on the executor goroutine in batched mode, under
-// the service latch in direct mode.
-func (s *Service) applyIntents(first intentReq) {
-	in := first
-	for {
+// reorgBudget bounds how long one reorganiser pass keeps applying
+// queued intents before it publishes and yields the engine.
+const reorgBudget = time.Millisecond
+
+// reorganise runs one reorganiser pass: it applies first (when non-nil)
+// and the intents queued behind it for at most reorgBudget, drains the
+// pending backlogs due for a batched merge, and publishes the next
+// epoch once. Intents still queued wait for the next pass. It must run
+// wherever the executor is owned: on the executor goroutine in batched
+// mode, under the service latch in direct mode.
+func (s *Service) reorganise(first *intentReq) {
+	start := time.Now()
+	for in := first; in != nil; {
 		s.reorgLagUs.Store(uint64(time.Since(in.enqueued) / time.Microsecond))
-		start := time.Now()
+		applied := time.Now()
 		// An intent comes from a read that validated its table and column
 		// against a published epoch, so application cannot fail on a
 		// static catalog; an error here would only repeat on retry.
 		_ = s.exec.ApplyIntent(in.in)
-		s.phases[trace.PhaseReorgApply].observe(time.Since(start))
+		s.phases[trace.PhaseReorgApply].observe(time.Since(applied))
+		in = nil
+		if time.Since(start) < reorgBudget {
+			select {
+			case next := <-s.intents:
+				in = &next
+			default:
+			}
+		}
+	}
+	s.exec.MergePending(false)
+	s.exec.PublishEpoch()
+}
+
+// quiesce applies every queued intent and merges every pending backlog,
+// so columns the readers deferred work on converge before the service
+// stops. Same ownership rule as reorganise.
+func (s *Service) quiesce() {
+	for {
 		select {
-		case in = <-s.intents:
+		case in := <-s.intents:
+			s.reorganise(&in)
 		default:
+			s.exec.MergePending(true)
 			s.exec.PublishEpoch()
 			return
 		}
 	}
 }
 
-// runReorganiser is the direct-mode background reorganiser: it drains
-// the intent queue under the service latch until the service closes,
-// then applies whatever is still queued so idle columns converge.
+// runReorganiser is the direct-mode background reorganiser: it runs a
+// pass under the service latch whenever intents are queued or a write
+// left a backlog due for a batched merge, yielding the latch between
+// passes, and quiesces the engine when the service closes.
 func (s *Service) runReorganiser() {
 	defer close(s.reorgDone)
 	for {
 		select {
 		case in := <-s.intents:
 			s.mu.Lock()
-			s.applyIntents(in)
+			s.reorganise(&in)
+			s.mu.Unlock()
+		case <-s.mergeDue:
+			s.mu.Lock()
+			s.reorganise(nil)
 			s.mu.Unlock()
 		case <-s.closed:
-			for {
-				select {
-				case in := <-s.intents:
-					s.mu.Lock()
-					s.applyIntents(in)
-					s.mu.Unlock()
-				default:
-					return
-				}
-			}
+			s.mu.Lock()
+			s.quiesce()
+			s.mu.Unlock()
+			return
 		}
 	}
 }
@@ -719,7 +753,7 @@ func (s *Service) runExecutor() {
 			// No queries waiting: spend the idle time on deferred
 			// reorganisation. (s.intents is nil unless epoch reads are
 			// enabled, and a nil channel never fires.)
-			s.applyIntents(in)
+			s.reorganise(&in)
 			continue
 		case <-s.closed:
 			s.drainAndExit()
@@ -760,8 +794,10 @@ func (s *Service) runExecutor() {
 		timer.Stop()
 		s.executeBatch(batch)
 		if s.readers > 1 {
-			// The batch may have cracked or written; publish so epoch
-			// readers see it (a no-op when nothing changed).
+			// The batch may have cracked or written; merge a backlog its
+			// writes made due and publish so epoch readers see it (a
+			// no-op when nothing changed).
+			s.exec.MergePending(false)
 			s.exec.PublishEpoch()
 		}
 	}
@@ -785,18 +821,19 @@ func (s *Service) drainQueued(batch *[]*request) bool {
 }
 
 // drainAndExit answers everything still queued at close time — no
-// admitted request is left waiting — and applies the remaining crack
-// intents, so a column the readers deferred reorganisation on still
-// converges before the service quiesces.
+// admitted request is left waiting — and then quiesces the epoch
+// machinery, so a column the readers deferred reorganisation on still
+// converges before the service stops.
 func (s *Service) drainAndExit() {
 	for {
 		select {
 		case req := <-s.queue:
 			req.dequeued = time.Now()
 			s.executeBatch([]*request{req})
-		case in := <-s.intents:
-			s.applyIntents(in)
 		default:
+			if s.readers > 1 {
+				s.quiesce()
+			}
 			return
 		}
 	}

@@ -45,6 +45,27 @@ func (c *Cluster) ApplyIntent(in engine.Intent) error {
 	return nil
 }
 
+// MergeDue reports whether any shard has a pending backlog due for a
+// batched merge.
+func (c *Cluster) MergeDue() bool {
+	for _, e := range c.shards {
+		if e.MergeDue() {
+			return true
+		}
+	}
+	return false
+}
+
+// MergePending drains the due (or, with all, every) pending backlog on
+// every shard and returns the rows merged. Runs on the owner goroutine.
+func (c *Cluster) MergePending(all bool) int {
+	merged := 0
+	for _, e := range c.shards {
+		merged += e.MergePending(all)
+	}
+	return merged
+}
+
 // EpochRead answers one read-only query against every shard's pinned
 // epoch concurrently and merges the per-shard results like Run's
 // gather. Safe to call from any number of goroutines, concurrently

@@ -107,6 +107,17 @@ type Column struct {
 	pendingIns map[column.RowID]column.Value
 	pendingDel map[column.RowID]column.Value
 
+	// insLog and delLog list the buffered updates in arrival order for
+	// epoch readers, which are handed shared prefixes (PendingLogs).
+	// Both are append-only: a write appends, a deletion of a still
+	// pending insert appends the row to delLog as well (so a reader
+	// sees +1-1), and a drain starts fresh arrays rather than truncating
+	// ones readers may hold. logsStale marks logs that a per-query
+	// merge left out of step with the maps; PendingLogs rebuilds them.
+	insLog    column.Pairs
+	delLog    column.Pairs
+	logsStale bool
+
 	mergedIns uint64
 	mergedDel uint64
 
@@ -250,6 +261,7 @@ func (u *Column) RestorePending(ins, del column.Pairs) error {
 		u.pendingDel[p.Row] = p.Val
 	}
 	u.bufVersion++
+	u.logsStale = true
 	return u.Validate()
 }
 
@@ -261,16 +273,60 @@ func (u *Column) Versions() (cracker, buffers uint64) {
 	return u.cc.Version(), u.bufVersion
 }
 
-// Snapshot captures the column's epoch view: an immutable piece
-// catalog of the merged tuples (sharing untouched pieces with prev,
-// see core.CrackerColumn.Snapshot) plus row-sorted copies of the
-// pending buffers, so a reader can patch unmerged updates into
-// snapshot results without touching the live column.
-func (u *Column) Snapshot(prev *core.ColSnapshot) (snap *core.ColSnapshot, pendIns, pendDel column.Pairs) {
-	snap = u.cc.Snapshot(prev)
-	pendIns, pendDel = u.PendingPairs()
-	return snap, pendIns, pendDel
+// PendingLogs returns the buffered updates as an epoch reader patches
+// them into a snapshot of the merged tuples: insertions to add and
+// deletions to subtract, where a row both inserted and deleted while
+// pending appears in both. The slices are shared, capacity-capped
+// prefixes of append-only logs — O(1) unless a per-query merge made
+// the logs stale — and must not be modified.
+func (u *Column) PendingLogs() (ins, del column.Pairs) {
+	if u.logsStale {
+		u.insLog, u.delLog = u.PendingPairs()
+		u.logsStale = false
+	}
+	return u.insLog[:len(u.insLog):len(u.insLog)], u.delLog[:len(u.delLog):len(u.delLog)]
 }
+
+// PendingRows returns the number of buffered updates.
+func (u *Column) PendingRows() int { return len(u.pendingIns) + len(u.pendingDel) }
+
+// MergeThreshold is the pending backlog at which one batched sweep
+// (MergeBatch) beats per-row ripples: a ripple moves a tuple in every
+// later piece, about P moves per row, while a sweep moves each tuple at
+// most once, about n moves, so the two meet near n/P rows — one average
+// piece. The threshold is clamped to [32, 1024] so a barely cracked
+// column still drains, and readers, which scan the backlog, stay cheap.
+func (u *Column) MergeThreshold() int {
+	return min(max(u.cc.Len()/u.cc.NumPieces(), 32), 1024)
+}
+
+// MergeBatch drains every pending update into the cracker column with
+// one batched sweep (core.CrackerColumn.MergeBatch) and returns the
+// number of rows merged. The sweep's work is charged as merge work.
+func (u *Column) MergeBatch() int {
+	ins, del := u.PendingPairs()
+	if len(ins)+len(del) == 0 {
+		return 0
+	}
+	before := u.cc.Cost()
+	if err := u.cc.MergeBatch(ins, del); err != nil {
+		// Pending deletions are only recorded for merged tuples.
+		panic(err)
+	}
+	u.chargeMerge(u.cc.Cost().Sub(before))
+	clear(u.pendingIns)
+	clear(u.pendingDel)
+	u.mergedIns += uint64(len(ins))
+	u.mergedDel += uint64(len(del))
+	u.insLog, u.delLog, u.logsStale = nil, nil, false
+	u.bufVersion++
+	return len(ins) + len(del)
+}
+
+// Crack reorganises the cracker column for r without merging pending
+// updates — the crack an epoch reader's intent asks for, while batched
+// sweeps drain the buffers separately.
+func (u *Column) Crack(r column.Range) { u.cc.SelectPositions(r) }
 
 // Len returns the number of live tuples (base plus inserted minus
 // deleted).
@@ -327,6 +383,7 @@ func (u *Column) insert(row column.RowID, val column.Value) {
 		return
 	}
 	u.pendingIns[row] = val
+	u.insLog = append(u.insLog, column.Pair{Val: val, Row: row})
 	u.bufVersion++
 	u.c.TuplesCopied++
 }
@@ -343,6 +400,7 @@ func (u *Column) Delete(row column.RowID) error {
 	// simply disappears.
 	if _, pending := u.pendingIns[row]; pending {
 		delete(u.pendingIns, row)
+		u.delLog = append(u.delLog, column.Pair{Val: val, Row: row})
 		u.bufVersion++
 		return nil
 	}
@@ -356,6 +414,7 @@ func (u *Column) Delete(row column.RowID) error {
 		return nil
 	}
 	u.pendingDel[row] = val
+	u.delLog = append(u.delLog, column.Pair{Val: val, Row: row})
 	u.bufVersion++
 	u.c.TuplesCopied++
 	return nil
@@ -439,6 +498,7 @@ func (u *Column) mergeQualifying(r column.Range) {
 		sortPairsByRow(del)
 	}
 	u.bufVersion++
+	u.logsStale = true
 	for _, p := range ins {
 		u.cc.RippleInsert(p)
 		delete(u.pendingIns, p.Row)
