@@ -273,6 +273,26 @@ func serve(ctx context.Context, cfg config, ln net.Listener, out io.Writer) erro
 	if err != nil {
 		return fail(err)
 	}
+	// The banner reads the executor's catalog, so it is rendered before
+	// the handler swap lets requests (and the executor's writes) in.
+	boot := "cold start"
+	if built.Restored {
+		boot = fmt.Sprintf("restored from %s", cfg.snapshot)
+	}
+	if cfg.stripeOf > 1 {
+		boot += fmt.Sprintf(", stripe %d/%d", cfg.stripeIdx, cfg.stripeOf)
+	}
+	policies := make(map[string]string)
+	for _, ti := range built.Exec.Tables() {
+		policies[ti.Name] = ti.MergePolicy
+	}
+	var tables []string
+	for _, spec := range specs {
+		tables = append(tables, fmt.Sprintf("%s(%d rows, %d cols, merge=%s)",
+			spec.Name, spec.Rows, spec.Cols, policies[spec.Name]))
+	}
+	banner := fmt.Sprintf("crackserve: %s on %s (%s)\n", svc, ln.Addr(), boot)
+	catalog := fmt.Sprintf("crackserve: catalog %s\n", strings.Join(tables, ", "))
 	ready := svc.Handler()
 	handler.Store(&ready)
 
@@ -297,24 +317,8 @@ func serve(ctx context.Context, cfg config, ln net.Listener, out io.Writer) erro
 		fmt.Fprintf(out, "crackserve: pprof on %s\n", dln.Addr())
 	}
 
-	boot := "cold start"
-	if built.Restored {
-		boot = fmt.Sprintf("restored from %s", cfg.snapshot)
-	}
-	if cfg.stripeOf > 1 {
-		boot += fmt.Sprintf(", stripe %d/%d", cfg.stripeIdx, cfg.stripeOf)
-	}
-	policies := make(map[string]string)
-	for _, ti := range built.Exec.Tables() {
-		policies[ti.Name] = ti.MergePolicy
-	}
-	var tables []string
-	for _, spec := range specs {
-		tables = append(tables, fmt.Sprintf("%s(%d rows, %d cols, merge=%s)",
-			spec.Name, spec.Rows, spec.Cols, policies[spec.Name]))
-	}
-	fmt.Fprintf(out, "crackserve: %s on %s (%s)\n", svc, ln.Addr(), boot)
-	fmt.Fprintf(out, "crackserve: catalog %s\n", strings.Join(tables, ", "))
+	fmt.Fprint(out, banner)
+	fmt.Fprint(out, catalog)
 
 	select {
 	case <-ctx.Done():

@@ -82,19 +82,28 @@ func (s *ColSnapshot) Pieces() []SnapPiece {
 	return out
 }
 
-// find returns the piece whose lower bound is b, or nil.
-func (s *ColSnapshot) find(b crackeridx.Bound) *SnapPiece {
-	total := s.NumPieces()
-	g := sort.Search(total, func(g int) bool {
-		p := s.piece(g)
+// seek returns the cursor (chunk, piece) of the first piece whose lower
+// bound orders at or after b — (len(chunks), 0) when there is none: a
+// binary search for the chunk whose pieces reach b, then one inside it.
+func (s *ColSnapshot) seek(b crackeridx.Bound) (ci, k int) {
+	ci = sort.Search(len(s.chunks), func(i int) bool {
+		// The last piece of chunks[:i+1], skipping empty chunks.
+		for len(s.chunks[i].pieces) == 0 {
+			if i == 0 {
+				return false
+			}
+			i--
+		}
+		p := &s.chunks[i].pieces[len(s.chunks[i].pieces)-1]
 		return p.HasLower && p.Lower.Compare(b) >= 0
 	})
-	if g < total {
-		if p := s.piece(g); p.Lower == b {
-			return p
-		}
+	if ci == len(s.chunks) {
+		return ci, 0
 	}
-	return nil
+	pieces := s.chunks[ci].pieces
+	return ci, sort.Search(len(pieces), func(k int) bool {
+		return pieces[k].HasLower && pieces[k].Lower.Compare(b) >= 0
+	})
 }
 
 // Snapshot captures the column's current piece catalog. prev, when
@@ -109,38 +118,27 @@ func (s *ColSnapshot) find(b crackeridx.Bound) *SnapPiece {
 func (cc *CrackerColumn) Snapshot(prev *ColSnapshot) *ColSnapshot {
 	ix := cc.index
 	chunks := ix.Chunks()
-	dirty, headMarked, reshaped := ix.Changes()
 	snap := &ColSnapshot{chunks: make([]*snapChunk, 1+len(chunks)), Len: len(cc.pairs), Version: cc.version}
-	if prev != nil && !headMarked {
+	if prev != nil && !ix.HeadMarked() {
 		snap.chunks[0] = prev.chunks[0]
 	} else {
 		snap.chunks[0] = cc.snapHead()
 	}
-	switch {
-	case prev != nil && !reshaped && len(prev.chunks) == len(snap.chunks):
-		// Same chunks as last time: only the changed ones are rebuilt.
-		copy(snap.chunks[1:], prev.chunks[1:])
-		for _, c := range dirty {
-			if ci := ix.ChunkIndex(c); ci >= 0 {
-				snap.chunks[1+ci] = cc.snapChunk(ci, prev, prev.chunks[1+ci])
+	// Match unchanged chunks to prev's by identity: both lists are in
+	// bound order, and chunks are only ever split, removed or cleared, so
+	// one forward walk finds them all.
+	at := 1
+	for ci, c := range chunks {
+		if prev != nil && !c.Dirty() {
+			for at < len(prev.chunks) && prev.chunks[at].src != c {
+				at++
+			}
+			if at < len(prev.chunks) {
+				snap.chunks[1+ci] = prev.chunks[at]
+				continue
 			}
 		}
-	default:
-		// Chunks were split or removed: match the unchanged ones to
-		// prev's by identity (both lists are in bound order).
-		at := 1
-		for ci, c := range chunks {
-			if prev != nil && !c.Dirty() {
-				for at < len(prev.chunks) && prev.chunks[at].src != c {
-					at++
-				}
-				if at < len(prev.chunks) {
-					snap.chunks[1+ci] = prev.chunks[at]
-					continue
-				}
-			}
-			snap.chunks[1+ci] = cc.snapChunk(ci, prev, nil)
-		}
+		snap.chunks[1+ci] = cc.snapChunk(ci, prev)
 	}
 	snap.first = make([]int, len(snap.chunks)+1)
 	for i, sc := range snap.chunks {
@@ -164,14 +162,18 @@ func (cc *CrackerColumn) snapHead() *snapChunk {
 	return &snapChunk{pieces: []SnapPiece{sp}}
 }
 
-// snapChunk builds the piece array of index chunk ci. old, when known,
-// is prev's array for the same chunk; otherwise reusable copies are
-// looked up in prev by bound.
-func (cc *CrackerColumn) snapChunk(ci int, prev *ColSnapshot, old *snapChunk) *snapChunk {
+// snapChunk builds the piece array of index chunk ci, reusing the copy
+// prev holds for a piece with the same bounds unless the piece is
+// marked. prev's pieces are walked forward from one seek to the chunk's
+// first bound, so matching costs one search per chunk.
+func (cc *CrackerColumn) snapChunk(ci int, prev *ColSnapshot) *snapChunk {
 	chunks := cc.index.Chunks()
 	c := chunks[ci]
 	sc := &snapChunk{src: c, pieces: make([]SnapPiece, 0, c.Len())}
-	k := 0
+	var pc, pk int
+	if prev != nil {
+		pc, pk = prev.seek(c.Bound(0))
+	}
 	for j := 0; j < c.Len(); j++ {
 		sp := SnapPiece{Lower: c.Bound(j), HasLower: true}
 		start, end := c.Pos(j), len(cc.pairs)
@@ -185,17 +187,18 @@ func (cc *CrackerColumn) snapChunk(ci int, prev *ColSnapshot, old *snapChunk) *s
 			continue
 		}
 		var was *SnapPiece
-		switch {
-		case c.Marked(j) || prev == nil:
-		case old != nil:
-			for k < len(old.pieces) && old.pieces[k].Lower.Compare(sp.Lower) < 0 {
-				k++
+		for prev != nil && !c.Marked(j) && pc < len(prev.chunks) {
+			if pk == len(prev.chunks[pc].pieces) {
+				pc, pk = pc+1, 0
+				continue
 			}
-			if k < len(old.pieces) && old.pieces[k].Lower == sp.Lower {
-				was = &old.pieces[k]
+			if p := &prev.chunks[pc].pieces[pk]; p.Lower.Compare(sp.Lower) >= 0 {
+				if p.Lower == sp.Lower {
+					was = p
+				}
+				break
 			}
-		default:
-			was = prev.find(sp.Lower)
+			pk++
 		}
 		if was != nil && was.HasUpper == sp.HasUpper && was.Upper == sp.Upper && len(was.Pairs) == end-start {
 			sp.Pairs = was.Pairs

@@ -163,10 +163,10 @@ type Index struct {
 	// chunks to exercise splits).
 	chunkCap int
 
-	// Change tracking for incremental consumers (see Changes).
+	// Change tracking for incremental consumers (see HeadMarked and
+	// ClearChanges).
 	changed    []*Chunk
 	headMarked bool
-	reshaped   bool
 }
 
 // New returns an empty cracker index.
@@ -326,7 +326,6 @@ func (ix *Index) Insert(b Bound, pos int) {
 	switch {
 	case len(ix.chunks) == 0:
 		ix.chunks = append(ix.chunks, ix.newChunk(pos))
-		ix.reshaped = true
 	case !hasSucc:
 		ci, j = len(ix.chunks)-1, len(ix.chunks[len(ix.chunks)-1].bounds)
 	}
@@ -373,7 +372,6 @@ func (ix *Index) insertChunk(at int, c *Chunk) {
 	ix.chunks = append(ix.chunks, nil)
 	copy(ix.chunks[at+1:], ix.chunks[at:])
 	ix.chunks[at] = c
-	ix.reshaped = true
 }
 
 // touch puts c on the change list.
@@ -425,7 +423,6 @@ func (ix *Index) Delete(b Bound) bool {
 	ix.touch(c)
 	if len(c.bounds) == 0 {
 		ix.chunks = append(ix.chunks[:ci], ix.chunks[ci+1:]...)
-		ix.reshaped = true
 	}
 	ix.size--
 	return true
@@ -547,42 +544,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// ShiftPositions adds delta to the position of every boundary whose
-// position is greater than or equal to fromPos. Update policies use it
-// when tuples are inserted into or removed from the middle of the
-// cracker column. Positions are non-decreasing in bound order, so the
-// shifted boundaries are a suffix found by binary search.
-func (ix *Index) ShiftPositions(fromPos, delta int) {
-	lo, hi := 0, len(ix.chunks)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if c := ix.chunks[m]; c.Pos(len(c.bounds)-1) < fromPos {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo == len(ix.chunks) {
-		return
-	}
-	c := ix.chunks[lo]
-	j := 0
-	for c.Pos(j) < fromPos {
-		j++
-	}
-	ix.ShiftFrom(lo, j, delta)
-}
-
-// ShiftPositionsFromBound adds delta to the position of every boundary
-// whose bound orders at or after b. Ripple insertion uses it: when a
-// tuple is placed at the end of its piece, only the boundaries the new
-// value lies to the left of may move, even if other boundaries share
-// the same array position (zero-length pieces).
-func (ix *Index) ShiftPositionsFromBound(b Bound, delta int) {
-	ci, j, _ := ix.locate(b)
-	ix.ShiftFrom(ci, j, delta)
-}
-
 // Remap replaces the position of every boundary with move(i, pos),
 // where i is the boundary's rank in bound order, and recounts the
 // maintained piece count in the same pass. It is O(P): batched merges
@@ -635,18 +596,13 @@ func (ix *Index) Clear() {
 	for _, c := range ix.changed {
 		c.dirty = false
 	}
-	*ix = Index{chunkCap: ix.chunkCap, headMarked: true, reshaped: true}
+	*ix = Index{chunkCap: ix.chunkCap, headMarked: true}
 }
 
-// Changes reports what changed since the last ClearChanges: the chunks
-// whose bounds changed or whose pieces were marked (a chunk removed
-// since may still be listed), whether the piece before the first
-// boundary was marked, and whether chunks were split, removed or
-// cleared — after which chunk indices moved and only each chunk's
-// Dirty flag, not its place in the list, can be trusted.
-func (ix *Index) Changes() (dirty []*Chunk, headMarked, reshaped bool) {
-	return ix.changed, ix.headMarked, ix.reshaped
-}
+// HeadMarked reports whether the piece before the first boundary was
+// marked since the last ClearChanges. The other pieces' marks are on
+// their chunks (Chunk.Marked), and a chunk that changed is Dirty.
+func (ix *Index) HeadMarked() bool { return ix.headMarked }
 
 // ClearChanges forgets the recorded changes: O(changed chunks).
 func (ix *Index) ClearChanges() {
@@ -655,20 +611,7 @@ func (ix *Index) ClearChanges() {
 		c.marked = 0
 	}
 	ix.changed = ix.changed[:0]
-	ix.headMarked, ix.reshaped = false, false
-}
-
-// ChunkIndex returns c's index in Chunks(), or -1 when c is no longer
-// part of the index.
-func (ix *Index) ChunkIndex(c *Chunk) int {
-	if len(c.bounds) == 0 {
-		return -1
-	}
-	ci, _, _ := ix.locate(c.bounds[0])
-	if ci < len(ix.chunks) && ix.chunks[ci] == c {
-		return ci
-	}
-	return -1
+	ix.headMarked = false
 }
 
 // checkChunks validates the chunk structure alone: no chunk empty or

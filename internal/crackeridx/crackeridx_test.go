@@ -177,12 +177,33 @@ func TestPieces(t *testing.T) {
 	}
 }
 
+// shiftFromPos shifts every boundary at or after position fromPos by
+// delta, the way a row inserted into or removed from the middle of the
+// column moves the catalog.
+func shiftFromPos(ix *Index, fromPos, delta int) {
+	for ci, c := range ix.Chunks() {
+		for j := 0; j < c.Len(); j++ {
+			if c.Pos(j) >= fromPos {
+				ix.ShiftFrom(ci, j, delta)
+				return
+			}
+		}
+	}
+}
+
+// shiftFromBound shifts every boundary ordering at or after b by delta,
+// the way a ripple moves the catalog behind the piece it fills.
+func shiftFromBound(ix *Index, b Bound, delta int) {
+	ci, j, _ := ix.locate(b)
+	ix.ShiftFrom(ci, j, delta)
+}
+
 func TestShiftPositions(t *testing.T) {
 	ix := New()
 	ix.Insert(Bound{Value: 10}, 100)
 	ix.Insert(Bound{Value: 20}, 200)
 	ix.Insert(Bound{Value: 30}, 300)
-	ix.ShiftPositions(200, 5)
+	shiftFromPos(ix, 200, 5)
 	if pos, _ := ix.Lookup(Bound{Value: 10}); pos != 100 {
 		t.Fatalf("boundary below fromPos must not shift, got %d", pos)
 	}
@@ -203,7 +224,7 @@ func TestShiftPositionsFromBound(t *testing.T) {
 	ix.Insert(Bound{Value: 30}, 200)
 	// Shifting from bound <20 must leave <10 alone even though it sits
 	// at the same position.
-	ix.ShiftPositionsFromBound(Bound{Value: 20}, 1)
+	shiftFromBound(ix, Bound{Value: 20}, 1)
 	if pos, _ := ix.Lookup(Bound{Value: 10}); pos != 100 {
 		t.Fatalf("bound <10 must not move, got %d", pos)
 	}

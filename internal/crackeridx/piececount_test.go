@@ -74,28 +74,28 @@ func pieceOp(ix *Index, n *int, src intSource) string {
 	case op == 8: // a row inserted at p
 		if *n < genMaxRows {
 			p := src.Intn(*n + 1)
-			ix.ShiftPositions(p, 1)
+			shiftFromPos(ix, p, 1)
 			*n++
-			return fmt.Sprintf("ShiftPositions(%d, 1)", p)
+			return fmt.Sprintf("shiftFromPos(%d, 1)", p)
 		}
 	case op == 9: // the row at p removed
 		if *n > 0 {
 			p := src.Intn(*n)
-			ix.ShiftPositions(p+1, -1)
+			shiftFromPos(ix, p+1, -1)
 			*n--
-			return fmt.Sprintf("ShiftPositions(%d, -1)", p+1)
+			return fmt.Sprintf("shiftFromPos(%d, -1)", p+1)
 		}
 	case op == 10: // a ripple insert ahead of b
 		if *n < genMaxRows {
-			ix.ShiftPositionsFromBound(b, 1)
+			shiftFromBound(ix, b, 1)
 			*n++
-			return fmt.Sprintf("ShiftPositionsFromBound(%s, 1)", b)
+			return fmt.Sprintf("shiftFromBound(%s, 1)", b)
 		}
 	case op == 11: // the row just ahead of b's split removed
 		if lo, hi := window(ix, b, *n, true); hi > lo {
-			ix.ShiftPositionsFromBound(b, -1)
+			shiftFromBound(ix, b, -1)
 			*n--
-			return fmt.Sprintf("ShiftPositionsFromBound(%s, -1)", b)
+			return fmt.Sprintf("shiftFromBound(%s, -1)", b)
 		}
 	case op < 15:
 		start := src.Intn(*n + 1)

@@ -61,3 +61,65 @@ func TestPublishAfterBufferedWriteCostsNoPieceWalk(t *testing.T) {
 		t.Fatalf("publication allocates %v at ~1k pieces and %v at ~40k", allocs[500], allocs[30_000])
 	}
 }
+
+// TestEpochReadsStayExactUnderPendingChurn publishes after every write
+// while most writes insert a row and delete it again before any merge:
+// the backlog stays small, every epoch must count exactly the live
+// rows, and the pending pairs each epoch patches in must stay within
+// twice the backlog plus a constant instead of growing with the writes.
+func TestEpochReadsStayExactUnderPendingChurn(t *testing.T) {
+	eng := crackedEngine(t, 200)
+	uc := eng.crackers[key("t", "v")]
+	base := eng.cat.tables["t"].cols["v"]
+	probe := column.NewRange(20_000, 60_000)
+	countEpoch := func() int {
+		t.Helper()
+		res, info, err := eng.EpochRead(Query{Table: "t", Column: "v", R: probe, CountOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		info.Release()
+		return res.Count
+	}
+	eng.PublishEpoch()
+	want := countEpoch()
+	rng := rand.New(rand.NewSource(8))
+	deleted := map[column.RowID]bool{}
+	for step := 0; step < 3000; step++ {
+		if step%10 == 0 {
+			row := column.RowID(rng.Intn(len(base)))
+			if !deleted[row] {
+				if err := eng.DeleteRow("t", row); err != nil {
+					t.Fatal(err)
+				}
+				deleted[row] = true
+				if probe.Contains(base[row]) {
+					want--
+				}
+			}
+		}
+		v := column.Value(rng.Intn(100_000))
+		row, err := eng.InsertRow("t", []column.Value{v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.PublishEpoch()
+		if probe.Contains(v) {
+			if got := countEpoch(); got != want+1 {
+				t.Fatalf("step %d: epoch counts %d after an insert, want %d", step, got, want+1)
+			}
+		}
+		if err := eng.DeleteRow("t", row); err != nil {
+			t.Fatal(err)
+		}
+		eng.MergePending(false)
+		eng.PublishEpoch()
+		if got := countEpoch(); got != want {
+			t.Fatalf("step %d: epoch counts %d, want %d", step, got, want)
+		}
+		ec := eng.epoch.Load().cols[key("t", "v")]
+		if got, pending := len(ec.pendIns)+len(ec.pendDel), uc.PendingRows(); got > 2*pending+64 {
+			t.Fatalf("step %d: the epoch patches %d pending pairs for a backlog of %d", step, got, pending)
+		}
+	}
+}

@@ -112,8 +112,12 @@ type Column struct {
 	// Both are append-only: a write appends, a deletion of a still
 	// pending insert appends the row to delLog as well (so a reader
 	// sees +1-1), and a drain starts fresh arrays rather than truncating
-	// ones readers may hold. logsStale marks logs that a per-query
-	// merge left out of step with the maps; PendingLogs rebuilds them.
+	// ones readers may hold. logsStale marks logs that are not kept in
+	// step with the maps — none were asked for yet, a per-query merge
+	// drained part of the backlog, or cancelled pairs piled up (see
+	// logPair) — and PendingLogs rebuilds them. Stale logs are dropped
+	// and not appended to, so the logs never hold more than
+	// 2×PendingRows()+logSlack pairs.
 	insLog    column.Pairs
 	delLog    column.Pairs
 	logsStale bool
@@ -149,6 +153,7 @@ func New(vals []column.Value, opts core.Options, policy MergePolicy) *Column {
 		pendingIns: make(map[column.RowID]column.Value),
 		pendingDel: make(map[column.RowID]column.Value),
 		nextRow:    column.RowID(len(vals)),
+		logsStale:  true,
 	}
 	for i, v := range vals {
 		u.values[column.RowID(i)] = v
@@ -170,6 +175,7 @@ func NewFromPairs(pairs column.Pairs, opts core.Options, policy MergePolicy, nex
 		pendingIns: make(map[column.RowID]column.Value),
 		pendingDel: make(map[column.RowID]column.Value),
 		nextRow:    nextRow,
+		logsStale:  true,
 	}
 	for _, p := range pairs {
 		u.values[p.Row] = p.Val
@@ -261,7 +267,7 @@ func (u *Column) RestorePending(ins, del column.Pairs) error {
 		u.pendingDel[p.Row] = p.Val
 	}
 	u.bufVersion++
-	u.logsStale = true
+	u.dropLogs()
 	return u.Validate()
 }
 
@@ -287,17 +293,48 @@ func (u *Column) PendingLogs() (ins, del column.Pairs) {
 	return u.insLog[:len(u.insLog):len(u.insLog)], u.delLog[:len(u.delLog):len(u.delLog)]
 }
 
+// logSlack is how many cancelled pairs the logs may carry beyond the
+// backlog before logPair drops them for a rebuild.
+const logSlack = 64
+
+// logPair appends a buffered update to log, unless the logs are stale.
+// A pending insert deleted again stays in both logs while leaving the
+// backlog, so once the logs outgrow twice the backlog plus logSlack
+// they are dropped and PendingLogs rebuilds them from the maps. A
+// rebuilt log is as long as the backlog, and each write raises the
+// logs' length minus twice the backlog by at most three, so a rebuild,
+// O(backlog), comes at most once per (backlog+logSlack)/3 writes.
+func (u *Column) logPair(log *column.Pairs, p column.Pair) {
+	if u.logsStale {
+		return
+	}
+	*log = append(*log, p)
+	if len(u.insLog)+len(u.delLog) > 2*u.PendingRows()+logSlack {
+		u.dropLogs()
+	}
+}
+
+// dropLogs releases the logs and marks them for a rebuild.
+func (u *Column) dropLogs() {
+	u.insLog, u.delLog, u.logsStale = nil, nil, true
+}
+
 // PendingRows returns the number of buffered updates.
 func (u *Column) PendingRows() int { return len(u.pendingIns) + len(u.pendingDel) }
 
-// MergeThreshold is the pending backlog at which one batched sweep
-// (MergeBatch) beats per-row ripples: a ripple moves a tuple in every
-// later piece, about P moves per row, while a sweep moves each tuple at
-// most once, about n moves, so the two meet near n/P rows — one average
-// piece. The threshold is clamped to [32, 1024] so a barely cracked
-// column still drains, and readers, which scan the backlog, stay cheap.
+// MergeThreshold is the pending backlog at which the reorganiser drains
+// a column with one batched sweep (MergeBatch), about 4n/P rows for n
+// tuples in P pieces. Rippling a row moves a tuple in every later
+// piece, about P/2 moves per row. A sweep costs O(P) bookkeeping over
+// the pieces it passes plus at most n moves (a piece moves by its net
+// shift, never more than its length), so a backlog of k rows costs at
+// most (P+n)/k per row: at k = 4n/P that is about P/4 — half a
+// ripple's — and the per-sweep bookkeeping is spread over four rows per
+// average piece. The threshold is clamped to [32, 1024] so a barely
+// cracked column still drains, and readers, which scan the backlog,
+// stay cheap.
 func (u *Column) MergeThreshold() int {
-	return min(max(u.cc.Len()/u.cc.NumPieces(), 32), 1024)
+	return min(max(4*u.cc.Len()/u.cc.NumPieces(), 32), 1024)
 }
 
 // MergeBatch drains every pending update into the cracker column with
@@ -306,6 +343,8 @@ func (u *Column) MergeThreshold() int {
 func (u *Column) MergeBatch() int {
 	ins, del := u.PendingPairs()
 	if len(ins)+len(del) == 0 {
+		// Cancelled pairs may remain in the logs.
+		u.insLog, u.delLog, u.logsStale = nil, nil, false
 		return 0
 	}
 	before := u.cc.Cost()
@@ -383,7 +422,7 @@ func (u *Column) insert(row column.RowID, val column.Value) {
 		return
 	}
 	u.pendingIns[row] = val
-	u.insLog = append(u.insLog, column.Pair{Val: val, Row: row})
+	u.logPair(&u.insLog, column.Pair{Val: val, Row: row})
 	u.bufVersion++
 	u.c.TuplesCopied++
 }
@@ -400,7 +439,7 @@ func (u *Column) Delete(row column.RowID) error {
 	// simply disappears.
 	if _, pending := u.pendingIns[row]; pending {
 		delete(u.pendingIns, row)
-		u.delLog = append(u.delLog, column.Pair{Val: val, Row: row})
+		u.logPair(&u.delLog, column.Pair{Val: val, Row: row})
 		u.bufVersion++
 		return nil
 	}
@@ -414,7 +453,7 @@ func (u *Column) Delete(row column.RowID) error {
 		return nil
 	}
 	u.pendingDel[row] = val
-	u.delLog = append(u.delLog, column.Pair{Val: val, Row: row})
+	u.logPair(&u.delLog, column.Pair{Val: val, Row: row})
 	u.bufVersion++
 	u.c.TuplesCopied++
 	return nil
@@ -498,7 +537,7 @@ func (u *Column) mergeQualifying(r column.Range) {
 		sortPairsByRow(del)
 	}
 	u.bufVersion++
-	u.logsStale = true
+	u.dropLogs()
 	for _, p := range ins {
 		u.cc.RippleInsert(p)
 		delete(u.pendingIns, p.Row)
