@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"adaptiveindex/internal/column"
@@ -47,13 +48,18 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip builds a small result from fuzzer-chosen parameters,
-// encodes it, and requires the decode to reproduce it exactly.
+// FuzzRoundTrip builds a result from fuzzer-chosen parameters, encodes
+// it, and requires the bytes to equal the reference encoder's and the
+// decode to reproduce the result exactly. Values step by a
+// fuzzer-chosen stride with wrapping arithmetic, so a vector can span
+// anything up to the full int64 range and every packing width is
+// reachable; rowStride does the same for the row-id widths.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint16(5), uint8(1), uint16(64), true, int64(17))
-	f.Add(uint16(0), uint8(0), uint16(0), false, int64(0))
-	f.Add(uint16(300), uint8(3), uint16(1), false, int64(-9))
-	f.Fuzz(func(t *testing.T, nrows uint16, ncols uint8, blockRows uint16, dense bool, valSeed int64) {
+	f.Add(uint16(5), uint8(1), uint16(64), true, int64(17), int64(1), uint32(2654435761))
+	f.Add(uint16(0), uint8(0), uint16(0), false, int64(0), int64(0), uint32(0))
+	f.Add(uint16(300), uint8(3), uint16(1), false, int64(-9), int64(-70001), uint32(977))
+	f.Add(uint16(40), uint8(2), uint16(7), false, int64(math.MinInt64), int64(math.MaxInt64/3), uint32(1))
+	f.Fuzz(func(t *testing.T, nrows uint16, ncols uint8, blockRows uint16, dense bool, valSeed, stride int64, rowStride uint32) {
 		if ncols > 8 {
 			ncols = ncols % 8
 		}
@@ -62,7 +68,7 @@ func FuzzRoundTrip(f *testing.F) {
 			if dense {
 				rows[i] = column.RowID(i)
 			} else {
-				rows[i] = column.RowID(uint32(valSeed)*31 + uint32(i)*2654435761)
+				rows[i] = column.RowID(uint32(valSeed)*31 + uint32(i)*rowStride)
 			}
 		}
 		h := Header{Count: int(nrows), Path: "auto"}
@@ -70,13 +76,16 @@ func FuzzRoundTrip(f *testing.F) {
 		for ci := range cols {
 			cols[ci] = make([]column.Value, nrows)
 			for i := range cols[ci] {
-				cols[ci][i] = valSeed + column.Value(ci)*1_000_003 + column.Value(i)
+				cols[ci][i] = valSeed + column.Value(ci)*1_000_003 + column.Value(i)*stride
 			}
 			h.Columns = append(h.Columns, string(rune('a'+ci)))
 		}
 		var buf bytes.Buffer
 		if err := Encode(&buf, h, rows, cols, int(blockRows), uint64(valSeed)); err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), refEncode(t, h, rows, cols, int(blockRows), uint64(valSeed))) {
+			t.Fatal("encoding differs from the reference encoder")
 		}
 		res, err := Decode(&buf)
 		if err != nil {

@@ -58,8 +58,10 @@ import (
 	"io"
 	"math/bits"
 	"mime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"adaptiveindex/internal/column"
 )
@@ -129,19 +131,38 @@ type Encoder struct {
 	w     io.Writer
 	ncols int
 	buf   []byte
+	sub   [][]column.Value // per-frame column slices when a block is split
+	packs []packing        // per-column packing of the block being written
 }
 
 // NewEncoder returns an encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
-// frame appends the length prefix to the scratch body and writes it.
-func (e *Encoder) frame(body []byte) error {
-	var lenPrefix [4]byte
-	binary.LittleEndian.PutUint32(lenPrefix[:], uint32(len(body)))
-	if _, err := e.w.Write(lenPrefix[:]); err != nil {
-		return err
+// maxPooled bounds the scratch buffers kept for reuse across streams,
+// so one huge reply does not pin its frame buffer.
+const maxPooled = 1 << 20
+
+// frameBufs recycles encoder scratch buffers: the buffer of a stream
+// whose footer is written serves the next stream's frames.
+var frameBufs sync.Pool // of *[]byte
+
+// begin starts a frame of the given kind in the scratch buffer, with
+// room left for the length prefix that frame fills in.
+func (e *Encoder) begin(kind byte) []byte {
+	if e.buf == nil {
+		if p, ok := frameBufs.Get().(*[]byte); ok {
+			e.buf = *p
+		}
 	}
-	_, err := e.w.Write(body)
+	return append(e.buf[:0], 0, 0, 0, 0, kind)
+}
+
+// frame fills in the length prefix of a frame built from begin and
+// writes it, prefix and body together, as one Write.
+func (e *Encoder) frame(b []byte) error {
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	e.buf = b
+	_, err := e.w.Write(b)
 	return err
 }
 
@@ -151,8 +172,7 @@ func (e *Encoder) WriteHeader(h Header) error {
 		return fmt.Errorf("wire: %d projected columns exceeds the format limit %d", len(h.Columns), maxColumns)
 	}
 	e.ncols = len(h.Columns)
-	b := e.buf[:0]
-	b = append(b, kindHeader)
+	b := e.begin(kindHeader)
 	b = binary.LittleEndian.AppendUint32(b, magic)
 	b = append(b, Version)
 	b = binary.LittleEndian.AppendUint64(b, uint64(h.Count))
@@ -169,7 +189,6 @@ func (e *Encoder) WriteHeader(h Header) error {
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
 		b = append(b, name...)
 	}
-	e.buf = b
 	return e.frame(b)
 }
 
@@ -196,21 +215,82 @@ func widthFor(span uint64, widths ...int) int {
 	return widths[len(widths)-1]
 }
 
-// appendPacked appends v as w little-endian bytes.
-func appendPacked(b []byte, v uint64, w int) []byte {
-	for i := 0; i < w; i++ {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
+// packing is the frame-of-reference form of one vector in a block:
+// every element is stored as its unsigned offset from base in width
+// bytes.
+type packing struct {
+	base  uint64
+	width int
 }
 
-// unpack reads a w-byte little-endian unsigned value.
-func unpack(b []byte, w int) uint64 {
-	var v uint64
-	for i := 0; i < w; i++ {
-		v |= uint64(b[i]) << (8 * i)
+// pack stores src[i]-base as width little-endian bytes at dst[width*i:]
+// for every i; dst must hold width*len(src) bytes. One loop per width
+// moves whole words instead of single bytes.
+func pack[T column.RowID | column.Value](dst []byte, src []T, base T, width int) {
+	switch width {
+	case 1:
+		dst = dst[:len(src)]
+		for i, v := range src {
+			dst[i] = byte(v - base)
+		}
+	case 2:
+		dst = dst[:2*len(src)]
+		for i, v := range src {
+			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v-base))
+		}
+	case 4:
+		dst = dst[:4*len(src)]
+		for i, v := range src {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v-base))
+		}
+	default:
+		dst = dst[:8*len(src)]
+		for i, v := range src {
+			binary.LittleEndian.PutUint64(dst[8*i:], uint64(v-base))
+		}
 	}
-	return v
+}
+
+// unpackInto is the inverse of pack: dst[i] = base + the width-byte
+// offset at raw[width*i:], wrapping in T. raw must hold width*len(dst)
+// bytes.
+func unpackInto[T column.RowID | column.Value](dst []T, raw []byte, base T, width int) {
+	switch width {
+	case 1:
+		raw = raw[:len(dst)]
+		for i := range dst {
+			dst[i] = base + T(raw[i])
+		}
+	case 2:
+		raw = raw[:2*len(dst)]
+		for i := range dst {
+			dst[i] = base + T(binary.LittleEndian.Uint16(raw[2*i:]))
+		}
+	case 4:
+		raw = raw[:4*len(dst)]
+		for i := range dst {
+			dst[i] = base + T(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+	default:
+		raw = raw[:8*len(dst)]
+		for i := range dst {
+			dst[i] = base + T(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+	}
+}
+
+// minMax returns the smallest and largest element of v (zeros when v
+// is empty).
+func minMax[T column.RowID | column.Value](v []T) (lo, hi T) {
+	if len(v) == 0 {
+		return lo, hi
+	}
+	lo, hi = v[0], v[0]
+	for _, x := range v[1:] {
+		lo = min(lo, x)
+		hi = max(hi, x)
+	}
+	return lo, hi
 }
 
 // WriteBlock emits one result block. cols must hold exactly one vector
@@ -225,14 +305,16 @@ func (e *Encoder) WriteBlock(rows column.IDList, cols [][]column.Value) error {
 			return fmt.Errorf("wire: column vector length %d does not match %d rows", len(vec), len(rows))
 		}
 	}
-	for start := 0; start < len(rows); start += e.maxBlockRows() {
-		end := start + e.maxBlockRows()
-		if end > len(rows) {
-			end = len(rows)
-		}
-		sub := make([][]column.Value, len(cols))
-		for i, vec := range cols {
-			sub[i] = vec[start:end]
+	step := e.maxBlockRows()
+	for start := 0; start < len(rows); start += step {
+		end := min(start+step, len(rows))
+		sub := cols
+		if end-start < len(rows) {
+			e.sub = e.sub[:0]
+			for _, vec := range cols {
+				e.sub = append(e.sub, vec[start:end])
+			}
+			sub = e.sub
 		}
 		if err := e.writeOneBlock(rows[start:end], sub); err != nil {
 			return err
@@ -242,36 +324,41 @@ func (e *Encoder) WriteBlock(rows column.IDList, cols [][]column.Value) error {
 }
 
 func (e *Encoder) writeOneBlock(rows column.IDList, cols [][]column.Value) error {
-	b := e.buf[:0]
-	b = append(b, kindBlock)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
-
+	n := len(rows)
 	// Row ids and values use frame-of-reference packing: each vector
 	// stores its block minimum once and every element as an unsigned
 	// offset in the narrowest byte width that holds the block's span.
 	// Dense row-only results may instead take the bitset encoding when
 	// it is denser still; results with projections must keep result
 	// order, which only the packed encoding preserves.
-	var rowBase, rowMax column.RowID
-	if len(rows) > 0 {
-		rowBase, rowMax = rows[0], rows[0]
-		for _, r := range rows {
-			if r < rowBase {
-				rowBase = r
-			}
-			if r > rowMax {
-				rowMax = r
-			}
-		}
-	}
+	rowBase, rowMax := minMax(rows)
 	rowWidth := widthFor(uint64(rowMax-rowBase), 1, 2, 4)
 	var words []uint64
-	if len(cols) == 0 && len(rows) > 0 {
+	if len(cols) == 0 && n > 0 {
 		nwords := int(rowMax)/64 + 1
-		if 4+8*nwords < 5+rowWidth*len(rows) {
+		if 4+8*nwords < 5+rowWidth*n {
 			words = column.BitsetFromIDs(rows).Words()
 		}
 	}
+	// Frame size: length prefix, kind, nrows and rowsEnc (10 bytes),
+	// then the rows, then per column its width, base and offsets.
+	size := 10 + 1 + 4 + rowWidth*n
+	if words != nil {
+		size = 10 + 4 + 8*len(words)
+	}
+	e.packs = e.packs[:0]
+	for _, vec := range cols {
+		lo, hi := minMax(vec)
+		// The span is exact even across the full int64 range: two's
+		// complement subtraction in uint64 yields hi-lo for any hi >= lo.
+		w := widthFor(uint64(hi)-uint64(lo), 1, 2, 4, 8)
+		e.packs = append(e.packs, packing{base: uint64(lo), width: w})
+		size += 9 + w*n
+	}
+
+	// The frame is sized once; every vector is then packed in place.
+	b := slices.Grow(e.begin(kindBlock), size)
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
 	if words != nil {
 		b = append(b, rowsBitset)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(words)))
@@ -279,37 +366,18 @@ func (e *Encoder) writeOneBlock(rows column.IDList, cols [][]column.Value) error
 			b = binary.LittleEndian.AppendUint64(b, w)
 		}
 	} else {
-		b = append(b, rowsRaw)
-		b = append(b, byte(rowWidth))
+		b = append(b, rowsRaw, byte(rowWidth))
 		b = binary.LittleEndian.AppendUint32(b, uint32(rowBase))
-		for _, r := range rows {
-			b = appendPacked(b, uint64(r-rowBase), rowWidth)
-		}
+		b = b[:len(b)+rowWidth*n]
+		pack(b[len(b)-rowWidth*n:], rows, rowBase, rowWidth)
 	}
-	for _, vec := range cols {
-		var base, maxV column.Value
-		if len(vec) > 0 {
-			base, maxV = vec[0], vec[0]
-			for _, v := range vec {
-				if v < base {
-					base = v
-				}
-				if v > maxV {
-					maxV = v
-				}
-			}
-		}
-		// The span is exact even across the full int64 range: two's
-		// complement subtraction in uint64 yields max-min for any
-		// maxV >= base.
-		w := widthFor(uint64(maxV)-uint64(base), 1, 2, 4, 8)
-		b = append(b, byte(w))
-		b = binary.LittleEndian.AppendUint64(b, uint64(base))
-		for _, v := range vec {
-			b = appendPacked(b, uint64(v)-uint64(base), w)
-		}
+	for i, vec := range cols {
+		p := e.packs[i]
+		b = append(b, byte(p.width))
+		b = binary.LittleEndian.AppendUint64(b, p.base)
+		b = b[:len(b)+p.width*n]
+		pack(b[len(b)-p.width*n:], vec, column.Value(p.base), p.width)
 	}
-	e.buf = b
 	return e.frame(b)
 }
 
@@ -320,21 +388,19 @@ func (e *Encoder) WriteTrace(spanJSON []byte) error {
 	if len(spanJSON) >= maxFrame {
 		return fmt.Errorf("wire: trace body %d bytes exceeds the frame limit", len(spanJSON))
 	}
-	b := e.buf[:0]
-	b = append(b, kindTrace)
-	b = append(b, spanJSON...)
-	e.buf = b
-	return e.frame(b)
+	return e.frame(append(e.begin(kindTrace), spanJSON...))
 }
 
-// WriteFooter closes the stream.
+// WriteFooter closes the stream and hands the scratch buffer on to the
+// next stream.
 func (e *Encoder) WriteFooter(f Footer) error {
-	b := e.buf[:0]
-	b = append(b, kindFooter)
-	b = binary.LittleEndian.AppendUint64(b, f.TotalRows)
-	b = binary.LittleEndian.AppendUint64(b, f.LatencyUs)
-	e.buf = b
-	return e.frame(b)
+	b := binary.LittleEndian.AppendUint64(e.begin(kindFooter), f.TotalRows)
+	err := e.frame(binary.LittleEndian.AppendUint64(b, f.LatencyUs))
+	if buf := e.buf; cap(buf) <= maxPooled {
+		frameBufs.Put(&buf)
+	}
+	e.buf = nil
+	return err
 }
 
 // Decoder reads a result stream frame by frame.
@@ -349,6 +415,9 @@ type Decoder struct {
 
 // NewDecoder returns a decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: bufio.NewReader(r)} }
+
+// decoders recycles the decoders Decode uses.
+var decoders = sync.Pool{New: func() any { return NewDecoder(nil) }}
 
 // nextFrame reads one length-prefixed frame body into the scratch
 // buffer.
@@ -583,9 +652,7 @@ func (d *Decoder) readBlock(c *cursor) (Block, error) {
 			return Block{}, err
 		}
 		rows = make(column.IDList, nrows)
-		for i := range rows {
-			rows[i] = column.RowID(uint32(uint64(base) + unpack(raw[int(w)*i:], int(w))))
-		}
+		unpackInto(rows, raw, base, int(w))
 	case rowsBitset:
 		nwords, err := c.u32()
 		if err != nil {
@@ -626,9 +693,7 @@ func (d *Decoder) readBlock(c *cursor) (Block, error) {
 			return Block{}, err
 		}
 		vec := make([]column.Value, nrows)
-		for i := range vec {
-			vec[i] = column.Value(base + unpack(raw[int(w)*i:], int(w)))
-		}
+		unpackInto(vec, raw, column.Value(base), int(w))
 		blk.Columns = append(blk.Columns, vec)
 	}
 	if err := c.done(); err != nil {
@@ -664,7 +729,17 @@ type Result struct {
 
 // Decode reads and validates one complete result stream.
 func Decode(r io.Reader) (*Result, error) {
-	d := NewDecoder(r)
+	// The decoder's read buffer and frame scratch are recycled: nothing
+	// in a Result aliases them.
+	d := decoders.Get().(*Decoder)
+	d.r.Reset(r)
+	defer func() {
+		if cap(d.buf) <= maxPooled {
+			d.r.Reset(nil)
+			*d = Decoder{r: d.r, buf: d.buf}
+			decoders.Put(d)
+		}
+	}()
 	h, err := d.ReadHeader()
 	if err != nil {
 		return nil, err
@@ -682,6 +757,18 @@ func Decode(r io.Reader) (*Result, error) {
 		}
 		if !ok {
 			break
+		}
+		if len(res.Rows) == 0 {
+			// The first non-empty block's vectors become the result's
+			// as they are, so a one-block reply is decoded straight
+			// into it and never copied.
+			if len(blk.Rows) > 0 {
+				res.Rows = blk.Rows
+				for i, name := range h.Columns {
+					res.Columns[name] = blk.Columns[i]
+				}
+			}
+			continue
 		}
 		res.Rows = append(res.Rows, blk.Rows...)
 		for i, name := range h.Columns {
