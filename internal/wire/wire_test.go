@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"adaptiveindex/internal/column"
@@ -501,7 +502,13 @@ func TestWriteBlockDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 func TestDecodeAllocationsDoNotGrowWithRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random, so Decode's allocation count varies")
+	}
 	allocs := func(n int) float64 {
 		h, rows, cols := projectedReply(n)
 		var buf bytes.Buffer
@@ -549,4 +556,35 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+}
+
+// TestConcurrentStreamsShareNoBuffers encodes and decodes from several
+// goroutines at once: the recycled encoder and decoder buffers must
+// never leak one stream's bytes into another's result.
+func TestConcurrentStreamsShareNoBuffers(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				h, rows, cols := projectedReply(1 + (g*200+i)%700)
+				var buf bytes.Buffer
+				if err := Encode(&buf, h, rows, cols, 0, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := Decode(&buf)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(res.Rows, rows) || !slices.Equal(res.Columns["c1"], cols[0]) {
+					t.Errorf("goroutine %d stream %d: decoded result differs", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
