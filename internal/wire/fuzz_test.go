@@ -68,7 +68,9 @@ func FuzzRoundTrip(f *testing.F) {
 			if dense {
 				rows[i] = column.RowID(i)
 			} else {
-				rows[i] = column.RowID(uint32(valSeed)*31 + uint32(i)*rowStride)
+				// An odd stride keeps the ids distinct, as a result's
+				// are: a bitset cannot carry a repeated id.
+				rows[i] = column.RowID(uint32(valSeed)*31 + uint32(i)*(rowStride|1))
 			}
 		}
 		h := Header{Count: int(nrows), Path: "auto"}

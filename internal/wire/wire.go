@@ -131,8 +131,7 @@ type Encoder struct {
 	w     io.Writer
 	ncols int
 	buf   []byte
-	sub   [][]column.Value // per-frame column slices when a block is split
-	packs []packing        // per-column packing of the block being written
+	packs []packing // per-column packing of the block being written
 }
 
 // NewEncoder returns an encoder writing to w.
@@ -310,11 +309,10 @@ func (e *Encoder) WriteBlock(rows column.IDList, cols [][]column.Value) error {
 		end := min(start+step, len(rows))
 		sub := cols
 		if end-start < len(rows) {
-			e.sub = e.sub[:0]
-			for _, vec := range cols {
-				e.sub = append(e.sub, vec[start:end])
+			sub = make([][]column.Value, len(cols))
+			for i, vec := range cols {
+				sub[i] = vec[start:end]
 			}
-			sub = e.sub
 		}
 		if err := e.writeOneBlock(rows[start:end], sub); err != nil {
 			return err

@@ -314,29 +314,25 @@ func refDecodeBlock(body []byte, ncols int) (column.IDList, [][]column.Value) {
 	return rows, cols
 }
 
-// goldenReplies are canned replies whose exact encoding is pinned by
-// TestGoldenBytes: every row width (1, 2, 4), every value width (1, 2,
-// 4, 8), a negative base, the full int64 span in one block, a
-// multi-block reply and a dense row-only bitset reply.
-func goldenReplies() []struct {
+// goldenReply is one canned reply of TestGoldenBytes.
+type goldenReply struct {
 	name      string
 	h         Header
 	rows      column.IDList
 	cols      [][]column.Value
 	blockRows int
-} {
+}
+
+// goldenReplies are canned replies whose exact encoding is pinned by
+// TestGoldenBytes: every row width (1, 2, 4), every value width (1, 2,
+// 4, 8), a negative base, the full int64 span in one block, a
+// multi-block reply and a dense row-only bitset reply.
+func goldenReplies() []goldenReply {
 	dense := make(column.IDList, 200)
 	for i := range dense {
 		dense[i] = column.RowID(199 - i)
 	}
-	type reply = struct {
-		name      string
-		h         Header
-		rows      column.IDList
-		cols      [][]column.Value
-		blockRows int
-	}
-	return []reply{
+	return []goldenReply{
 		{"row1_val1", Header{Count: 3, Path: "cracking", Columns: []string{"c1"}},
 			column.IDList{12, 10, 11}, [][]column.Value{{7, 5, 6}}, 0},
 		{"row2_val2_negative_base", Header{Count: 3, Path: "scan", Columns: []string{"v"}},
@@ -352,7 +348,8 @@ func goldenReplies() []struct {
 	}
 }
 
-// goldenHex pins the bytes of goldenReplies, frame by frame.
+// goldenHex is the exact stream of each golden reply, as the
+// byte-at-a-time encoder wrote it before the word-at-a-time rewrite.
 var goldenHex = map[string]string{
 	"row1_val1":               "1d0000000143524b3101030000000000000008637261636b696e670100020063311a000000020300000000010a000000020001010500000000000000020001110000000303000000000000006300000000000000",
 	"row2_val2_negative_base": "180000000143524b31010300000000000000047363616e01000100762000000002030000000002000000002c010000ffff0218fcffffffffffff0000e803d007110000000303000000000000006300000000000000",
@@ -381,12 +378,18 @@ func TestGoldenBytes(t *testing.T) {
 // randomReply draws a reply whose row and value vectors land on every
 // packing width, with negative bases and the int64 extremes mixed in.
 func randomReply(rng *rand.Rand) (Header, column.IDList, [][]column.Value, int) {
-	n := rng.Intn(600)
 	rowSpan := []uint32{1 << 8, 1 << 16, 1 << 31}[rng.Intn(3)]
-	rowBase := rng.Uint32()
-	rows := make(column.IDList, n)
-	for i := range rows {
-		rows[i] = rowBase + rng.Uint32()%rowSpan
+	n := min(rng.Intn(600), int(rowSpan))
+	// A zero base lets dense row-only replies take the bitset.
+	rowBase := []uint32{0, rng.Uint32()}[rng.Intn(2)]
+	// Row ids are distinct, as a result's are.
+	rows := make(column.IDList, 0, n)
+	seen := make(map[column.RowID]bool, n)
+	for len(rows) < n {
+		if r := rowBase + rng.Uint32()%rowSpan; !seen[r] {
+			seen[r] = true
+			rows = append(rows, r)
+		}
 	}
 	h := Header{Count: n, Path: "auto"}
 	cols := make([][]column.Value, rng.Intn(4))
