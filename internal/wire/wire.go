@@ -61,7 +61,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"adaptiveindex/internal/column"
 )
@@ -131,28 +130,14 @@ type Encoder struct {
 	w     io.Writer
 	ncols int
 	buf   []byte
-	packs []packing // per-column packing of the block being written
 }
 
 // NewEncoder returns an encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
-// maxPooled bounds the scratch buffers kept for reuse across streams,
-// so one huge reply does not pin its frame buffer.
-const maxPooled = 1 << 20
-
-// frameBufs recycles encoder scratch buffers: the buffer of a stream
-// whose footer is written serves the next stream's frames.
-var frameBufs sync.Pool // of *[]byte
-
 // begin starts a frame of the given kind in the scratch buffer, with
 // room left for the length prefix that frame fills in.
 func (e *Encoder) begin(kind byte) []byte {
-	if e.buf == nil {
-		if p, ok := frameBufs.Get().(*[]byte); ok {
-			e.buf = *p
-		}
-	}
 	return append(e.buf[:0], 0, 0, 0, 0, kind)
 }
 
@@ -212,14 +197,6 @@ func widthFor(span uint64, widths ...int) int {
 		}
 	}
 	return widths[len(widths)-1]
-}
-
-// packing is the frame-of-reference form of one vector in a block:
-// every element is stored as its unsigned offset from base in width
-// bytes.
-type packing struct {
-	base  uint64
-	width int
 }
 
 // pack stores src[i]-base as width little-endian bytes at dst[width*i:]
@@ -338,25 +315,8 @@ func (e *Encoder) writeOneBlock(rows column.IDList, cols [][]column.Value) error
 			words = column.BitsetFromIDs(rows).Words()
 		}
 	}
-	// Frame size: length prefix, kind, nrows and rowsEnc (10 bytes),
-	// then the rows, then per column its width, base and offsets.
-	size := 10 + 1 + 4 + rowWidth*n
-	if words != nil {
-		size = 10 + 4 + 8*len(words)
-	}
-	e.packs = e.packs[:0]
-	for _, vec := range cols {
-		lo, hi := minMax(vec)
-		// The span is exact even across the full int64 range: two's
-		// complement subtraction in uint64 yields hi-lo for any hi >= lo.
-		w := widthFor(uint64(hi)-uint64(lo), 1, 2, 4, 8)
-		e.packs = append(e.packs, packing{base: uint64(lo), width: w})
-		size += 9 + w*n
-	}
-
-	// The frame is sized once; every vector is then packed in place.
-	b := slices.Grow(e.begin(kindBlock), size)
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	// Each vector grows the frame once and is then packed in place.
+	b := binary.LittleEndian.AppendUint32(e.begin(kindBlock), uint32(n))
 	if words != nil {
 		b = append(b, rowsBitset)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(words)))
@@ -364,17 +324,22 @@ func (e *Encoder) writeOneBlock(rows column.IDList, cols [][]column.Value) error
 			b = binary.LittleEndian.AppendUint64(b, w)
 		}
 	} else {
+		b = slices.Grow(b, 6+rowWidth*n)
 		b = append(b, rowsRaw, byte(rowWidth))
 		b = binary.LittleEndian.AppendUint32(b, uint32(rowBase))
 		b = b[:len(b)+rowWidth*n]
 		pack(b[len(b)-rowWidth*n:], rows, rowBase, rowWidth)
 	}
-	for i, vec := range cols {
-		p := e.packs[i]
-		b = append(b, byte(p.width))
-		b = binary.LittleEndian.AppendUint64(b, p.base)
-		b = b[:len(b)+p.width*n]
-		pack(b[len(b)-p.width*n:], vec, column.Value(p.base), p.width)
+	for _, vec := range cols {
+		lo, hi := minMax(vec)
+		// The span is exact even across the full int64 range: two's
+		// complement subtraction in uint64 yields hi-lo for any hi >= lo.
+		w := widthFor(uint64(hi)-uint64(lo), 1, 2, 4, 8)
+		b = slices.Grow(b, 9+w*n)
+		b = append(b, byte(w))
+		b = binary.LittleEndian.AppendUint64(b, uint64(lo))
+		b = b[:len(b)+w*n]
+		pack(b[len(b)-w*n:], vec, lo, w)
 	}
 	return e.frame(b)
 }
@@ -389,16 +354,10 @@ func (e *Encoder) WriteTrace(spanJSON []byte) error {
 	return e.frame(append(e.begin(kindTrace), spanJSON...))
 }
 
-// WriteFooter closes the stream and hands the scratch buffer on to the
-// next stream.
+// WriteFooter closes the stream.
 func (e *Encoder) WriteFooter(f Footer) error {
 	b := binary.LittleEndian.AppendUint64(e.begin(kindFooter), f.TotalRows)
-	err := e.frame(binary.LittleEndian.AppendUint64(b, f.LatencyUs))
-	if buf := e.buf; cap(buf) <= maxPooled {
-		frameBufs.Put(&buf)
-	}
-	e.buf = nil
-	return err
+	return e.frame(binary.LittleEndian.AppendUint64(b, f.LatencyUs))
 }
 
 // Decoder reads a result stream frame by frame.
@@ -413,9 +372,6 @@ type Decoder struct {
 
 // NewDecoder returns a decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: bufio.NewReader(r)} }
-
-// decoders recycles the decoders Decode uses.
-var decoders = sync.Pool{New: func() any { return NewDecoder(nil) }}
 
 // nextFrame reads one length-prefixed frame body into the scratch
 // buffer.
@@ -727,17 +683,7 @@ type Result struct {
 
 // Decode reads and validates one complete result stream.
 func Decode(r io.Reader) (*Result, error) {
-	// The decoder's read buffer and frame scratch are recycled: nothing
-	// in a Result aliases them.
-	d := decoders.Get().(*Decoder)
-	d.r.Reset(r)
-	defer func() {
-		if cap(d.buf) <= maxPooled {
-			d.r.Reset(nil)
-			*d = Decoder{r: d.r, buf: d.buf}
-			decoders.Put(d)
-		}
-	}()
+	d := NewDecoder(r)
 	h, err := d.ReadHeader()
 	if err != nil {
 		return nil, err
