@@ -591,6 +591,20 @@ func (ix *Index) CollapseRange(start, end int) {
 	ix.headMarked = true
 }
 
+// Clone returns an independent copy of the index: the same boundaries
+// at the same positions, with change tracking starting clean.
+func (ix *Index) Clone() *Index {
+	out := &Index{chunks: make([]*Chunk, len(ix.chunks)), size: ix.size, samePos: ix.samePos, chunkCap: ix.chunkCap}
+	for i, c := range ix.chunks {
+		out.chunks[i] = &Chunk{
+			base:   c.base,
+			bounds: append(make([]Bound, 0, cap(c.bounds)), c.bounds...),
+			rel:    append(make([]int, 0, cap(c.rel)), c.rel...),
+		}
+	}
+	return out
+}
+
 // Clear removes all boundaries.
 func (ix *Index) Clear() {
 	for _, c := range ix.changed {

@@ -812,10 +812,16 @@ type Query struct {
 // cost model.
 func (e *Engine) candidatesFor(t *Table) []AccessPath {
 	if len(t.order) > 1 {
-		return []AccessPath{PathCracking, PathSideways}
+		return projectingCandidates
 	}
-	return []AccessPath{PathCracking}
+	return singleColumnCandidates
 }
+
+// The candidate lists candidatesFor hands out; callers only read them.
+var (
+	projectingCandidates   = []AccessPath{PathCracking, PathSideways}
+	singleColumnCandidates = []AccessPath{PathCracking}
+)
 
 // scanWork is the analytic cost model for PathScan on a table of n
 // rows: every value is touched and compared once. The planner uses it
@@ -843,8 +849,9 @@ func (e *Engine) Run(q Query) (*Result, error) {
 
 	path := q.Path
 	routed := false
+	shape := shapeOf(q)
 	if path == PathAuto {
-		path = e.planner.route(tc, candidates, scanCost)
+		path = e.planner.routeShape(tc, candidates, scanCost, shape)
 		routed = true
 	}
 
@@ -885,7 +892,7 @@ func (e *Engine) Run(q Query) (*Result, error) {
 		return nil, err
 	}
 	delta := e.Cost().Sub(before)
-	e.planner.observe(tc, candidates, scanCost, path, routed, delta, time.Since(start))
+	e.planner.observeShape(tc, candidates, scanCost, path, shape, routed, delta, time.Since(start))
 	res.Path = path
 	if e.events != nil {
 		e.emitReorgEvents(tc, path, piecesBefore, insBefore, delBefore)
@@ -974,6 +981,10 @@ type StructureStats struct {
 	MapPieces      int `json:"map_pieces"`
 	ParallelPieces int `json:"parallel_pieces"`
 	Pieces         int `json:"pieces"`
+	// MapHistory is the crack history the map sets still keep: bounds
+	// some materialised map has not applied yet (0 while every set has
+	// a single map).
+	MapHistory int `json:"map_history"`
 }
 
 // Structures reports the engine's adaptive-structure inventory.
@@ -988,6 +999,7 @@ func (e *Engine) Structures() StructureStats {
 	}
 	for _, ms := range e.mapsets {
 		s.MapPieces += ms.NumPieces()
+		s.MapHistory += ms.RetainedHistory()
 	}
 	for _, px := range e.parallels {
 		s.ParallelPieces += px.NumPieces()

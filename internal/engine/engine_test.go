@@ -294,3 +294,35 @@ func TestEngineParallelPartitionsKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConvergedSidewaysRunAllocations pins the allocations of a
+// converged engine.Run on the sideways path to what the cracking path
+// makes: a repeated select+project copies its result out of the map
+// with no per-query bookkeeping allocation, and a repeated count
+// allocates nothing beyond its Result.
+func TestConvergedSidewaysRunAllocations(t *testing.T) {
+	cat, _ := buildCatalog(t, 20_000, 12)
+	eng := New(cat, core.DefaultOptions())
+	sel := Query{Table: "orders", Column: "amount", R: column.NewRange(2000, 2400), Project: []string{"customer"}, Path: PathSideways}
+	cnt := Query{Table: "orders", Column: "amount", R: column.NewRange(5000, 5600), CountOnly: true, Path: PathSideways}
+	for _, q := range []Query{sel, cnt} {
+		if _, err := eng.Run(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		q    Query
+		max  float64
+	}{{"select", sel, 7}, {"count", cnt, 2}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := eng.Run(tc.q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("converged sideways %s makes %.0f allocations, want at most %.0f", tc.name, allocs, tc.max)
+		}
+		t.Logf("converged sideways %s: %.0f allocations", tc.name, allocs)
+	}
+}

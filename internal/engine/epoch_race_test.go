@@ -64,6 +64,24 @@ func TestEpochReadsRaceWithReorganiser(t *testing.T) {
 		return c
 	}
 
+	// Drive the batch threshold down before the readers start, so a
+	// batched merge must run during the rounds whatever the schedule.
+	// MergeThreshold is about 4n/P rows for P pieces: cracking the
+	// column into a few thousand pieces here takes it to its floor, and
+	// the rounds insert far more rows than that. Readers' intents only
+	// add pieces, so the threshold cannot climb back.
+	crackRng := rand.New(rand.NewSource(13))
+	for i := 0; i < 2000; i++ {
+		lo := column.Value(crackRng.Intn(domain))
+		q := Query{Table: "orders", Column: "amount", R: column.NewRange(lo, lo+column.Value(1+crackRng.Intn(500))), CountOnly: true, Path: PathCracking}
+		if _, err := eng.Run(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if th := eng.crackers[key("orders", "amount")].MergeThreshold(); 2*th > 4*rounds {
+		t.Fatalf("pre-cracking left the batch threshold at %d rows; the rounds insert only %d", th, 4*rounds)
+	}
+
 	// expected maps epoch seq -> visible probe count; each entry is
 	// stored before its epoch is published and never overwritten.
 	var expected sync.Map
@@ -211,8 +229,9 @@ func TestEpochReadsRaceWithReorganiser(t *testing.T) {
 	default:
 	}
 
-	// The backlog reached its threshold during the rounds: batched
-	// merges ran beside the readers, not only at quiesce.
+	// The backlog reached its threshold during the rounds (the
+	// pre-cracking above guarantees it): batched merges ran beside the
+	// readers, not only at quiesce.
 	if ws := eng.WriteStats(); ws.MergedInserts == 0 {
 		t.Fatalf("no batched merge ran during the rounds: %+v", ws)
 	}

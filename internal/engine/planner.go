@@ -11,10 +11,18 @@
 //   - Explore: the first queries are routed across the adaptive
 //     candidate paths, interleaved so every path's observation window
 //     covers the same slice of the stream, a few real queries each.
-//     Nothing is executed twice; exploration spends ordinary queries,
-//     and the structures those probes build are kept. The scan path is
-//     scored analytically (2n logical work per query, exactly what the
-//     scan operator charges) instead of burning real scans on probes.
+//     The interleaving is balanced per query shape — count-only reads,
+//     which materialise nothing, against reads that copy rows — so on
+//     a mixed stream every window holds the same mix of both. Without
+//     that, an alternating count/select stream would hand every count
+//     to one path and every select to the other, and the path scored
+//     on counts alone (zero recurring work) would win whatever its
+//     selects cost. Nothing is executed twice; exploration spends
+//     ordinary queries, and the structures those probes build are
+//     kept. The scan path is scored analytically (2n logical work per
+//     query, exactly what the scan operator charges) instead of burning
+//     real scans on probes. The decision stays one path per (table,
+//     column), for both shapes.
 //   - Exploit: the cheapest path by smoothed per-query RECURRING work
 //     (cost.Counters.Recurring — materialisation that every repetition
 //     of a query shape re-pays, as opposed to reorganisation that is
@@ -120,6 +128,25 @@ func (p planPhase) String() string {
 	return "exploit"
 }
 
+// queryShape separates the reads whose recurring cost differs in kind:
+// a count answers from positions and materialises nothing, every other
+// read copies qualifying rows (and projected values).
+type queryShape uint8
+
+const (
+	shapeCount queryShape = iota
+	shapeMaterialise
+	numShapes
+)
+
+// shapeOf returns the shape of q.
+func shapeOf(q Query) queryShape {
+	if q.CountOnly {
+		return shapeCount
+	}
+	return shapeMaterialise
+}
+
 // pathObs accumulates what the planner has seen of one access path.
 type pathObs struct {
 	queries uint64
@@ -134,6 +161,10 @@ type pathObs struct {
 	seen   bool
 	warm   bool
 	probes int
+	// shapeProbes splits the probes of the current explore round by
+	// query shape. It is not persisted: a planner restored mid-explore
+	// restarts it at zero.
+	shapeProbes [numShapes]int
 }
 
 // planState is the planner's state for one (table, column).
@@ -203,20 +234,41 @@ func (st *planState) score(path AccessPath) float64 {
 	return math.Inf(1)
 }
 
-// route picks the access path for one PathAuto query.
+// route picks the access path for one PathAuto query that materialises
+// rows: routeShape for a single-shape stream.
 func (p *planner) route(tc TableColumn, candidates []AccessPath, scanCost float64) AccessPath {
+	return p.routeShape(tc, candidates, scanCost, shapeMaterialise)
+}
+
+// routeShape picks the access path for one PathAuto query of the given
+// shape.
+func (p *planner) routeShape(tc TableColumn, candidates []AccessPath, scanCost float64, shape queryShape) AccessPath {
 	st := p.stateFor(tc, candidates, scanCost)
 	if st.phase == phaseExplore {
-		// Interleave: always probe the candidate with the fewest probes,
+		// Interleave: of the candidates still under their probe budget,
+		// probe the one with the fewest probes of this query's shape
+		// (then the fewest probes overall, then the lighter structure),
 		// so every candidate's observation window covers the same slice
-		// of the query stream. Sequential windows would score candidates
-		// on different predicates — on a skewed stream, whichever path
-		// happened to probe during a burst of fresh predicates would
-		// look expensive through no fault of its own.
-		probe, fewest := PathAuto, st.passes
+		// of the query stream and the same mix of shapes. Sequential
+		// windows would score candidates on different predicates — on a
+		// skewed stream, whichever path happened to probe during a burst
+		// of fresh predicates would look expensive through no fault of
+		// its own. On a single-shape stream this is plain fewest-probes
+		// interleaving.
+		probe := PathAuto
 		for _, c := range st.candidates {
-			if st.paths[c].probes < fewest {
-				probe, fewest = c, st.paths[c].probes
+			obs := &st.paths[c]
+			if obs.probes >= st.passes {
+				continue
+			}
+			if probe == PathAuto {
+				probe = c
+				continue
+			}
+			best := &st.paths[probe]
+			if obs.shapeProbes[shape] < best.shapeProbes[shape] ||
+				obs.shapeProbes[shape] == best.shapeProbes[shape] && obs.probes < best.probes {
+				probe = c
 			}
 		}
 		if probe != PathAuto {
@@ -275,15 +327,22 @@ func (st *planState) reExplore(passes int) {
 	st.reExplores++
 	for i := range st.paths {
 		st.paths[i].probes = 0
+		st.paths[i].shapeProbes = [numShapes]int{}
 	}
 }
 
-// observe records the measured cost of one executed query. delta is
-// the engine's cost-counter delta for exactly this query. routed
-// reports whether the planner itself chose the path (PathAuto); only
-// routed queries advance explore probes and drift detection, but every
-// observation — explicit-path experiments included — refines the
-// per-path estimate.
+// observe records the measured cost of one executed query that
+// materialises rows: observeShape for a single-shape stream.
+func (p *planner) observe(tc TableColumn, candidates []AccessPath, scanCost float64, path AccessPath, routed bool, delta cost.Counters, wall time.Duration) {
+	p.observeShape(tc, candidates, scanCost, path, shapeMaterialise, routed, delta, wall)
+}
+
+// observeShape records the measured cost of one executed query of the
+// given shape. delta is the engine's cost-counter delta for exactly this
+// query. routed reports whether the planner itself chose the path
+// (PathAuto); only routed queries advance explore probes and drift
+// detection, but every observation — explicit-path experiments
+// included — refines the per-path estimate.
 //
 // Estimates smooth the RECURRING component of the work (see
 // cost.Counters.Recurring): materialisation is re-paid on every
@@ -292,7 +351,7 @@ func (st *planState) reExplore(passes int) {
 // order of magnitude larger on fresh predicates, would otherwise bury
 // the signal that separates the paths. For a scan the whole query is
 // recurring, so its estimate uses the full work delta.
-func (p *planner) observe(tc TableColumn, candidates []AccessPath, scanCost float64, path AccessPath, routed bool, delta cost.Counters, wall time.Duration) {
+func (p *planner) observeShape(tc TableColumn, candidates []AccessPath, scanCost float64, path AccessPath, shape queryShape, routed bool, delta cost.Counters, wall time.Duration) {
 	if path >= numStaticPaths {
 		return
 	}
@@ -327,6 +386,7 @@ func (p *planner) observe(tc TableColumn, candidates []AccessPath, scanCost floa
 	switch st.phase {
 	case phaseExplore:
 		obs.probes++
+		obs.shapeProbes[shape]++
 	case phaseExploit:
 		if path != st.chosen {
 			return

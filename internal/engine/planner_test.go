@@ -346,3 +346,58 @@ func TestCountOnlyMatchesSelectWithoutMaterialising(t *testing.T) {
 		t.Fatal("count-only with projection must fail")
 	}
 }
+
+// threeColumnCatalog is the benchmark's table shape in miniature: c0
+// selected, c1 projected, c2 along for the ride, all uniform.
+func threeColumnCatalog(t *testing.T, n int, seed int64) *Catalog {
+	t.Helper()
+	tab := NewTable("data")
+	for i, name := range []string{"c0", "c1", "c2"} {
+		if err := tab.AddColumn(name, workload.DataUniform(seed+int64(i), n, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := NewCatalog()
+	if err := cat.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// TestPlannerBalancesShapesOnAlternatingStream: on a stream that
+// alternates counts and select+project reads, every candidate's explore
+// window must hold both shapes in equal measure (within one), and the
+// planner must settle on sideways — whose copies are sequential — for
+// the column as a whole. Before the windows were balanced per shape,
+// every count went to cracking and every select to sideways, and
+// cracking, scored on counts alone, won.
+func TestPlannerBalancesShapesOnAlternatingStream(t *testing.T) {
+	const n = 40_000
+	cat := threeColumnCatalog(t, n, 3)
+	eng := New(cat, core.DefaultOptions())
+	rng := rand.New(rand.NewSource(8))
+	for q := 0; q < 200; q++ {
+		query := Query{Table: "data", Column: "c0", Path: PathAuto}
+		if q%2 == 0 {
+			lo := column.Value(rng.Intn(n))
+			query.R, query.CountOnly = column.NewRange(lo, lo+n/100), true
+		} else {
+			lo := column.Value(rng.Intn(n))
+			query.R, query.Project = column.NewRange(lo, lo+n/2000), []string{"c1"}
+		}
+		if _, err := eng.Run(query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := eng.planner.states[TableColumn{Table: "data", Column: "c0"}]
+	if st.phase != phaseExploit || st.chosen != PathSideways {
+		t.Fatalf("planner %s/%s on an alternating count/select stream, want exploit/sideways", st.phase, st.chosen)
+	}
+	for _, c := range st.candidates {
+		obs := st.paths[c]
+		counts, selects := obs.shapeProbes[shapeCount], obs.shapeProbes[shapeMaterialise]
+		if counts == 0 || selects == 0 || counts-selects > 1 || selects-counts > 1 {
+			t.Fatalf("%s explored %d counts and %d selects, want both within one of each other", c, counts, selects)
+		}
+	}
+}

@@ -348,6 +348,7 @@ func (r *Router) clusterStats() api.Stats {
 		out.Structures.MapPieces += s.MapPieces
 		out.Structures.ParallelPieces += s.ParallelPieces
 		out.Structures.Pieces += s.Pieces
+		out.Structures.MapHistory += s.MapHistory
 		nodeRows[i].WorkTotal = st.WorkTotal
 		if out.Planner == nil {
 			// Every node sees the same query stream over the same data

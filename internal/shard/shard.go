@@ -344,6 +344,7 @@ func (c *Cluster) Structures() engine.StructureStats {
 		agg.MapPieces += s.MapPieces
 		agg.ParallelPieces += s.ParallelPieces
 		agg.Pieces += s.Pieces
+		agg.MapHistory += s.MapHistory
 	}
 	return agg
 }

@@ -13,6 +13,12 @@
 // along. Qualifying tuples therefore end up contiguous in every map,
 // and projection becomes a sequential copy.
 //
+// A map is stored column-wise: three aligned arrays of heads, tails and
+// row identifiers (20 bytes a tuple). A crack partitions the heads and
+// moves the tail and the row identifier of every exchanged head with
+// it, and a projection is two copies out of the qualifying interval —
+// one of row identifiers, one of tails (or heads).
+//
 // The package also implements the two refinements the paper and the
 // tutorial highlight:
 //
@@ -20,16 +26,35 @@
 //     the projection attributes that queries actually use, respecting
 //     storage bounds (MaxMaps).
 //   - Adaptive alignment: every map records how much of the map set's
-//     crack history it has applied; a map that was created late, or not
-//     used for a while, catches up lazily the next time it is needed,
-//     after which all maps of the set share an identical physical
-//     order and can be combined positionally without reconstruction
-//     joins.
+//     crack history it has applied; a map that was not used for a
+//     while catches up lazily the next time it is needed, after which
+//     all maps of the set share an identical physical order and can be
+//     combined positionally without reconstruction joins.
+//
+// The history is bounded: the set keeps only the suffix that some
+// materialised map has not applied yet, so with one map — the common
+// case — it stays empty however many bounds the workload cracks. A
+// bound the map's own cracker index already holds is in the history by
+// construction (every map applies the history in order before it
+// cracks), so only a fresh crack appends, and finding that out is the
+// same single index walk that finds the bound's position. A map
+// materialised late does not replay the history from the base order:
+// it copies the most aligned sibling's heads, row identifiers and
+// index and gathers its own tails once by row. Every map applies the
+// same cracks in the same order from the same base order, so the copy
+// has exactly the physical order a full replay would produce, and it is
+// charged exactly the crack work that replay would have cost (the
+// sibling's own, which every map pays identically), keeping the logical
+// work counters those of the paper's alignment. A set restored from a
+// dump only knows the crack work done since the restore, so a map
+// materialised after a restore is charged that part alone.
 package sideways
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/core"
@@ -61,21 +86,21 @@ func DefaultOptions() Options {
 	return Options{}
 }
 
-// entry is one aligned triple of a cracker map.
-type entry struct {
-	Head column.Value
-	Tail column.Value
-	Row  column.RowID
-}
-
-// crackerMap is the map M(head → tail) for one projection attribute.
+// crackerMap is the map M(head → tail) for one projection attribute:
+// heads[i], tails[i] and rows[i] are one aligned triple.
 type crackerMap struct {
-	attr    string
-	entries []entry
-	idx     *crackeridx.Index
-	// aligned is the number of crack-history operations already
-	// applied to this map.
+	attr  string
+	heads []column.Value
+	tails []column.Value
+	rows  []column.RowID
+	idx   *crackeridx.Index
+	// aligned is the number of crack-history operations, counted from
+	// the set's first, already applied to this map.
 	aligned int
+	// cracked is the crack work this map has done since the set was
+	// built or restored. For a built set it is the cost of applying
+	// history[:aligned] from the base order, the same for every map.
+	cracked cost.Counters
 }
 
 // MapSet is the collection of cracker maps for one selection attribute
@@ -89,18 +114,14 @@ type MapSet struct {
 	// i), the common case of a map set over a full base table. A map
 	// set rebuilt over the live rows of a table that has seen inserts
 	// and deletes carries the survivors' original identifiers here.
-	rows    []column.RowID
-	maps    map[string]*crackerMap
-	order   []string // materialisation order, for inspection
-	history []crackOp
+	rows []column.RowID
+	maps []*crackerMap // in materialisation order
+	// history is the suffix of the crack history that some map has not
+	// applied yet; trimmed counts the operations recorded before it.
+	history []crackeridx.Bound
+	trimmed int
 	opts    Options
 	c       cost.Counters
-}
-
-// crackOp is one entry of the crack history shared by all maps of the
-// set.
-type crackOp struct {
-	bound crackeridx.Bound
 }
 
 // NewMapSet creates the map set for selection attribute headAttr. head
@@ -118,7 +139,6 @@ func NewMapSet(headAttr string, head []column.Value, tails map[string][]column.V
 		headAttr: headAttr,
 		head:     head,
 		tails:    tails,
-		maps:     make(map[string]*crackerMap),
 		opts:     opts,
 	}, nil
 }
@@ -140,12 +160,22 @@ func NewMapSetRows(headAttr string, head []column.Value, tails map[string][]colu
 	return ms, nil
 }
 
-// rowAt returns the global row identifier of position i.
-func (ms *MapSet) rowAt(i int) column.RowID {
-	if ms.rows == nil {
-		return column.RowID(i)
+// positions returns, indexed by global row identifier, each row's
+// position in the base arrays, or -1 for an identifier no position
+// carries. It is only needed when explicit row identifiers are set.
+func (ms *MapSet) positions() []int32 {
+	maxRow := -1
+	for _, row := range ms.rows {
+		maxRow = max(maxRow, int(row))
 	}
-	return ms.rows[i]
+	pos := make([]int32, maxRow+1)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, row := range ms.rows {
+		pos[row] = int32(i)
+	}
+	return pos
 }
 
 // HeadAttribute returns the selection attribute the set cracks on.
@@ -160,17 +190,28 @@ func (ms *MapSet) Cost() cost.Counters { return ms.c }
 // MaterializedMaps returns the projection attributes for which cracker
 // maps currently exist, in materialisation order.
 func (ms *MapSet) MaterializedMaps() []string {
-	return append([]string(nil), ms.order...)
+	out := make([]string, len(ms.maps))
+	for i, m := range ms.maps {
+		out[i] = m.attr
+	}
+	return out
 }
 
-// HistoryLen returns the number of crack operations recorded so far.
-func (ms *MapSet) HistoryLen() int { return len(ms.history) }
+// HistoryLen returns the number of crack operations recorded so far,
+// including those every map has applied and the set no longer keeps.
+func (ms *MapSet) HistoryLen() int { return ms.trimmed + len(ms.history) }
+
+// RetainedHistory returns the number of crack operations the set still
+// keeps: those some materialised map has not applied yet.
+func (ms *MapSet) RetainedHistory() int { return len(ms.history) }
 
 // mapFor returns the cracker map for the given projection attribute,
 // materialising it on demand (partial sideways cracking).
 func (ms *MapSet) mapFor(attr string) (*crackerMap, error) {
-	if m, ok := ms.maps[attr]; ok {
-		return m, nil
+	for _, m := range ms.maps {
+		if m.attr == attr {
+			return m, nil
+		}
 	}
 	tail, ok := ms.tails[attr]
 	if !ok {
@@ -179,115 +220,177 @@ func (ms *MapSet) mapFor(attr string) (*crackerMap, error) {
 	if ms.opts.MaxMaps > 0 && len(ms.maps) >= ms.opts.MaxMaps {
 		return nil, fmt.Errorf("%w: %d maps materialised, budget %d", ErrMapBudgetExceeded, len(ms.maps), ms.opts.MaxMaps)
 	}
-	m := &crackerMap{attr: attr, idx: crackeridx.New(), entries: make([]entry, len(ms.head))}
-	for i := range ms.head {
-		m.entries[i] = entry{Head: ms.head[i], Tail: tail[i], Row: ms.rowAt(i)}
+	n := len(ms.head)
+	m := &crackerMap{attr: attr, tails: make([]column.Value, n)}
+	if src := ms.mostAligned(); src != nil {
+		// The sibling holds exactly what replaying history[:src.aligned]
+		// from the base order would produce; copy it and gather the
+		// tails once by row, then let align replay the rest.
+		m.heads, m.rows, m.idx = slices.Clone(src.heads), slices.Clone(src.rows), src.idx.Clone()
+		m.aligned, m.cracked = src.aligned, src.cracked
+		if ms.rows == nil {
+			for i, row := range m.rows {
+				m.tails[i] = tail[row]
+			}
+		} else {
+			pos := ms.positions()
+			for i, row := range m.rows {
+				m.tails[i] = tail[pos[row]]
+			}
+		}
+		ms.c.Add(src.cracked)
+	} else {
+		m.heads, m.idx, m.aligned = slices.Clone(ms.head), crackeridx.New(), ms.trimmed
+		copy(m.tails, tail)
+		if ms.rows != nil {
+			m.rows = slices.Clone(ms.rows)
+		} else {
+			m.rows = make([]column.RowID, n)
+			for i := range m.rows {
+				m.rows[i] = column.RowID(i)
+			}
+		}
 	}
-	ms.c.ValuesTouched += uint64(2 * len(ms.head))
-	ms.c.TuplesCopied += uint64(len(ms.head))
-	ms.maps[attr] = m
-	ms.order = append(ms.order, attr)
+	ms.c.ValuesTouched += uint64(2 * n)
+	ms.c.TuplesCopied += uint64(n)
+	ms.maps = append(ms.maps, m)
 	return m, nil
 }
 
-// crackMap partitions the map's entries around bound b and records the
-// boundary, charging the work to the set.
-func (ms *MapSet) crackMap(m *crackerMap, b crackeridx.Bound) int {
-	n := len(m.entries)
-	piece, pos, exact := m.idx.PieceFor(b, n)
-	if exact {
-		return pos
+// mostAligned returns the materialised map that has applied the most of
+// the crack history (the first such in materialisation order), or nil.
+func (ms *MapSet) mostAligned() *crackerMap {
+	var best *crackerMap
+	for _, m := range ms.maps {
+		if best == nil || m.aligned > best.aligned {
+			best = m
+		}
 	}
-	leftOf := func(v column.Value) bool {
-		ms.c.Comparisons++
-		ms.c.ValuesTouched++
+	return best
+}
+
+// crack partitions positions [lo, hi) of the map so that every head
+// left of bound b precedes every other, moving each head's tail and row
+// identifier with it, and returns the split position. It charges what
+// the entry-wise kernel charged: one comparison and one value touched
+// per head inspected, one swap per exchange.
+func (m *crackerMap) crack(lo, hi int, b crackeridx.Bound) int {
+	var cmps, swaps uint64
+	i := lo
+	if b.Inclusive && b.Value == math.MaxInt64 {
+		// Every head is left of the bound: one pass, no exchange.
+		cmps, i = uint64(hi-lo), hi
+	} else {
+		// One strict comparison serves both kinds of bound: v <= x is
+		// v < x+1 once x+1 cannot overflow.
+		p := b.Value
 		if b.Inclusive {
-			return v <= b.Value
+			p++
 		}
-		return v < b.Value
+		heads, tails, rows := m.heads, m.tails, m.rows
+		j := hi - 1
+		for i <= j {
+			for i <= j {
+				cmps++
+				if heads[i] >= p {
+					break
+				}
+				i++
+			}
+			for i <= j {
+				cmps++
+				if heads[j] < p {
+					break
+				}
+				j--
+			}
+			if i < j {
+				heads[i], heads[j] = heads[j], heads[i]
+				tails[i], tails[j] = tails[j], tails[i]
+				rows[i], rows[j] = rows[j], rows[i]
+				swaps++
+				i++
+				j--
+			}
+		}
 	}
-	i, j := piece.Start, piece.End-1
-	for i <= j {
-		for i <= j && leftOf(m.entries[i].Head) {
-			i++
-		}
-		for i <= j && !leftOf(m.entries[j].Head) {
-			j--
-		}
-		if i < j {
-			m.entries[i], m.entries[j] = m.entries[j], m.entries[i]
-			ms.c.Swaps++
-			i++
-			j--
-		}
-	}
-	m.idx.Insert(b, i)
+	m.cracked.Comparisons += cmps
+	m.cracked.ValuesTouched += cmps
+	m.cracked.Swaps += swaps
 	return i
+}
+
+// establish makes b a boundary of map m and returns its position,
+// cracking the piece that holds it when the map's index does not have
+// it yet — one index walk either way. It reports whether it cracked.
+func (ms *MapSet) establish(m *crackerMap, b crackeridx.Bound) (int, bool) {
+	piece, pos, exact := m.idx.PieceFor(b, len(m.heads))
+	if exact {
+		return pos, false
+	}
+	before := m.cracked
+	pos = m.crack(piece.Start, piece.End, b)
+	ms.c.Add(m.cracked.Sub(before))
+	m.idx.Insert(b, pos)
+	return pos, true
 }
 
 // align replays every crack operation the map has not seen yet, so that
 // its physical order matches every other map of the set.
 func (ms *MapSet) align(m *crackerMap) {
-	for ; m.aligned < len(ms.history); m.aligned++ {
-		ms.crackMap(m, ms.history[m.aligned].bound)
+	for _, b := range ms.history[m.aligned-ms.trimmed:] {
+		ms.establish(m, b)
 	}
-}
-
-// boundsFor translates a range predicate into the crack operations it
-// requires and the result interval accessor.
-func boundsFor(r column.Range) (bounds []crackeridx.Bound) {
-	if r.HasLow {
-		bounds = append(bounds, core.LowerBound(r))
-	}
-	if r.HasHigh {
-		bounds = append(bounds, core.UpperBound(r))
-	}
-	return bounds
+	m.aligned = ms.HistoryLen()
 }
 
 // positionsFor returns the contiguous interval [start, end) of the
-// (aligned, cracked) map that holds exactly the qualifying tuples.
+// (aligned) map that holds exactly the qualifying tuples, cracking it on
+// r's bounds where needed. A bound the map's index already holds is in
+// the history (the map applied the whole history first), so only a
+// fresh crack is recorded; the history then drops what every map has
+// applied.
 func (ms *MapSet) positionsFor(m *crackerMap, r column.Range) (int, int) {
-	n := len(m.entries)
-	start, end := 0, n
+	start, end := 0, len(m.heads)
 	if r.HasLow {
-		pos, ok := m.idx.Lookup(core.LowerBound(r))
-		if !ok {
-			pos = ms.crackMap(m, core.LowerBound(r))
-		}
-		start = pos
+		start = ms.record(m, core.LowerBound(r))
 	}
 	if r.HasHigh {
-		pos, ok := m.idx.Lookup(core.UpperBound(r))
-		if !ok {
-			pos = ms.crackMap(m, core.UpperBound(r))
-		}
-		end = pos
+		end = ms.record(m, core.UpperBound(r))
 	}
 	if end < start {
 		end = start
 	}
+	ms.trim()
 	return start, end
 }
 
-// recordHistory appends the crack operations for predicate r to the
-// shared history and marks map m as having applied them.
-func (ms *MapSet) recordHistory(m *crackerMap, r column.Range) {
-	for _, b := range boundsFor(r) {
-		if _, exists := findOp(ms.history, b); !exists {
-			ms.history = append(ms.history, crackOp{bound: b})
-		}
+// record establishes b on the aligned map m and appends it to the
+// history when that cracked.
+func (ms *MapSet) record(m *crackerMap, b crackeridx.Bound) int {
+	pos, fresh := ms.establish(m, b)
+	if fresh {
+		ms.history = append(ms.history, b)
+		m.aligned++
 	}
-	m.aligned = len(ms.history)
+	return pos
 }
 
-func findOp(history []crackOp, b crackeridx.Bound) (int, bool) {
-	for i, op := range history {
-		if op.bound == b {
-			return i, true
-		}
+// trim drops the history prefix every materialised map has applied.
+func (ms *MapSet) trim() {
+	low := ms.HistoryLen()
+	for _, m := range ms.maps {
+		low = min(low, m.aligned)
 	}
-	return 0, false
+	switch drop := low - ms.trimmed; {
+	case drop == 0:
+		return
+	case drop == len(ms.history):
+		ms.history = ms.history[:0]
+	default:
+		ms.history = ms.history[drop:]
+	}
+	ms.trimmed = low
 }
 
 // Projection is the result of a sideways-cracked select-project query
@@ -299,44 +402,47 @@ type Projection struct {
 	Values []column.Value
 }
 
+// interval aligns and cracks the map answering attr for predicate r and
+// returns it with the qualifying interval [start, end) and the array to
+// project from: the map's tails, or its heads when attr is the head
+// attribute itself — every map carries the head value alongside its
+// tail, so any map (an already materialised one when possible) answers
+// it. An empty predicate materialises the map but cracks nothing.
+func (ms *MapSet) interval(r column.Range, attr string) (m *crackerMap, vals []column.Value, start, end int, err error) {
+	mapAttr := attr
+	if attr == ms.headAttr {
+		if mapAttr, err = ms.anyAttr(); err != nil {
+			return nil, nil, 0, 0, err
+		}
+	}
+	if m, err = ms.mapFor(mapAttr); err != nil {
+		return nil, nil, 0, 0, err
+	}
+	vals = m.tails
+	if attr == ms.headAttr {
+		vals = m.heads
+	}
+	if r.Empty() {
+		return m, vals, 0, 0, nil
+	}
+	ms.align(m)
+	start, end = ms.positionsFor(m, r)
+	return m, vals, start, end, nil
+}
+
 // SelectProject answers "SELECT attr FROM t WHERE headAttr in r" using
 // the cracker map M(head→attr): the map is materialised if necessary,
 // aligned with the set's crack history, cracked on r, and the
-// projected values are returned as one contiguous copy. Projecting the
-// head attribute itself needs no dedicated map — every map carries the
-// head value alongside its tail, so any map (an already materialised
-// one when possible) answers it.
+// qualifying row identifiers and projected values are returned as one
+// contiguous copy each.
 func (ms *MapSet) SelectProject(r column.Range, attr string) (Projection, error) {
-	mapAttr, head := attr, attr == ms.headAttr
-	if head {
-		a, err := ms.anyAttr()
-		if err != nil {
-			return Projection{}, err
-		}
-		mapAttr = a
-	}
-	m, err := ms.mapFor(mapAttr)
+	m, vals, start, end, err := ms.interval(r, attr)
 	if err != nil {
 		return Projection{}, err
 	}
-	if r.Empty() {
-		return Projection{Rows: column.IDList{}, Values: []column.Value{}}, nil
-	}
-	ms.align(m)
-	start, end := ms.positionsFor(m, r)
-	ms.recordHistory(m, r)
-	out := Projection{
-		Rows:   make(column.IDList, 0, end-start),
-		Values: make([]column.Value, 0, end-start),
-	}
-	for i := start; i < end; i++ {
-		out.Rows = append(out.Rows, m.entries[i].Row)
-		if head {
-			out.Values = append(out.Values, m.entries[i].Head)
-		} else {
-			out.Values = append(out.Values, m.entries[i].Tail)
-		}
-	}
+	out := Projection{Rows: make(column.IDList, end-start), Values: make([]column.Value, end-start)}
+	copy(out.Rows, m.rows[start:end])
+	copy(out.Values, vals[start:end])
 	ms.c.TuplesCopied += uint64(end - start)
 	ms.c.ValuesTouched += uint64(end - start)
 	return out, nil
@@ -346,24 +452,27 @@ func (ms *MapSet) SelectProject(r column.Range, attr string) (Projection, error)
 // projection attributes. Because all maps of the set share the same
 // base order and apply the same crack history, their physical orders
 // are identical after alignment; the returned projections are therefore
-// positionally aligned with each other and with Rows.
+// positionally aligned with each other and with Rows, which are copied
+// once, from the first attribute's map.
 func (ms *MapSet) SelectProjectMulti(r column.Range, attrs []string) (column.IDList, map[string][]column.Value, error) {
 	values := make(map[string][]column.Value, len(attrs))
-	var rows column.IDList
+	rows := column.IDList{}
 	for i, attr := range attrs {
-		proj, err := ms.SelectProject(r, attr)
+		m, vals, start, end, err := ms.interval(r, attr)
 		if err != nil {
 			return nil, nil, err
 		}
 		if i == 0 {
-			rows = proj.Rows
-		} else if len(proj.Rows) != len(rows) {
-			return nil, nil, fmt.Errorf("sideways: maps disagree on result size (%d vs %d)", len(proj.Rows), len(rows))
+			rows = make(column.IDList, end-start)
+			copy(rows, m.rows[start:end])
+		} else if end-start != len(rows) {
+			return nil, nil, fmt.Errorf("sideways: maps disagree on result size (%d vs %d)", end-start, len(rows))
 		}
-		values[attr] = proj.Values
-	}
-	if rows == nil {
-		rows = column.IDList{}
+		out := make([]column.Value, end-start)
+		copy(out, vals[start:end])
+		values[attr] = out
+		ms.c.TuplesCopied += uint64(end - start)
+		ms.c.ValuesTouched += uint64(end - start)
 	}
 	return rows, values, nil
 }
@@ -372,8 +481,8 @@ func (ms *MapSet) SelectProjectMulti(r column.Range, attrs []string) (column.IDL
 // with: an already materialised map if one exists, otherwise the first
 // projection attribute's map.
 func (ms *MapSet) anyAttr() (string, error) {
-	if len(ms.order) > 0 {
-		return ms.order[0], nil
+	if len(ms.maps) > 0 {
+		return ms.maps[0].attr, nil
 	}
 	for a := range ms.tails {
 		return a, nil
@@ -388,11 +497,15 @@ func (ms *MapSet) SelectRows(r column.Range) (column.IDList, error) {
 	if err != nil {
 		return nil, err
 	}
-	proj, err := ms.SelectProject(r, attr)
+	m, _, start, end, err := ms.interval(r, attr)
 	if err != nil {
 		return nil, err
 	}
-	return proj.Rows, nil
+	rows := make(column.IDList, end-start)
+	copy(rows, m.rows[start:end])
+	ms.c.TuplesCopied += uint64(end - start)
+	ms.c.ValuesTouched += uint64(end - start)
+	return rows, nil
 }
 
 // CountRows answers a pure count on the head attribute without
@@ -404,17 +517,8 @@ func (ms *MapSet) CountRows(r column.Range) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	m, err := ms.mapFor(attr)
-	if err != nil {
-		return 0, err
-	}
-	if r.Empty() {
-		return 0, nil
-	}
-	ms.align(m)
-	start, end := ms.positionsFor(m, r)
-	ms.recordHistory(m, r)
-	return end - start, nil
+	_, _, start, end, err := ms.interval(r, attr)
+	return end - start, err
 }
 
 // NumPieces returns the total number of cracked pieces across every
@@ -422,14 +526,14 @@ func (ms *MapSet) CountRows(r column.Range) (int, error) {
 func (ms *MapSet) NumPieces() int {
 	total := 0
 	for _, m := range ms.maps {
-		total += m.idx.NumPieces(len(m.entries))
+		total += m.idx.NumPieces(len(m.heads))
 	}
 	return total
 }
 
 // MapDump is the portable state of one cracker map: its entries in
 // current physical order, the boundaries of its cracker index, and how
-// much of the set's crack history it has applied.
+// much of the dumped crack history it has applied.
 type MapDump struct {
 	Attr         string
 	Heads, Tails []column.Value
@@ -441,6 +545,8 @@ type MapDump struct {
 // Dump is the portable state of a whole map set, sufficient to rebuild
 // it over the same base columns (see RestoreMapSet). It exists so the
 // knowledge a workload has cracked into the maps can be persisted.
+// History is the retained suffix of the crack history, and every map's
+// Aligned counts the part of it that map has applied.
 type Dump struct {
 	History []crackeridx.Bound
 	Maps    []MapDump
@@ -448,24 +554,16 @@ type Dump struct {
 
 // Dump captures the map set's current state.
 func (ms *MapSet) Dump() Dump {
-	d := Dump{History: make([]crackeridx.Bound, 0, len(ms.history))}
-	for _, op := range ms.history {
-		d.History = append(d.History, op.bound)
-	}
-	for _, attr := range ms.order {
-		m := ms.maps[attr]
-		md := MapDump{
-			Attr:       attr,
-			Heads:      make([]column.Value, len(m.entries)),
-			Tails:      make([]column.Value, len(m.entries)),
-			Rows:       make([]column.RowID, len(m.entries)),
+	d := Dump{History: slices.Clone(ms.history)}
+	for _, m := range ms.maps {
+		d.Maps = append(d.Maps, MapDump{
+			Attr:       m.attr,
+			Heads:      slices.Clone(m.heads),
+			Tails:      slices.Clone(m.tails),
+			Rows:       slices.Clone(m.rows),
 			Boundaries: m.idx.Boundaries(),
-			Aligned:    m.aligned,
-		}
-		for i, e := range m.entries {
-			md.Heads[i], md.Tails[i], md.Rows[i] = e.Head, e.Tail, e.Row
-		}
-		d.Maps = append(d.Maps, md)
+			Aligned:    m.aligned - ms.trimmed,
+		})
 	}
 	return d
 }
@@ -479,14 +577,12 @@ func RestoreMapSet(headAttr string, head []column.Value, tails map[string][]colu
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range d.History {
-		ms.history = append(ms.history, crackOp{bound: b})
-	}
+	ms.history = slices.Clone(d.History)
 	for _, md := range d.Maps {
 		if _, ok := ms.tails[md.Attr]; !ok {
 			return nil, fmt.Errorf("%w: dumped map %q", ErrUnknownAttribute, md.Attr)
 		}
-		if _, exists := ms.maps[md.Attr]; exists {
+		if slices.ContainsFunc(ms.maps, func(m *crackerMap) bool { return m.attr == md.Attr }) {
 			return nil, fmt.Errorf("sideways: dump repeats map %q", md.Attr)
 		}
 		if len(md.Heads) != len(head) || len(md.Tails) != len(head) || len(md.Rows) != len(head) {
@@ -497,9 +593,13 @@ func RestoreMapSet(headAttr string, head []column.Value, tails map[string][]colu
 			return nil, fmt.Errorf("sideways: dumped map %q applied %d history entries of %d",
 				md.Attr, md.Aligned, len(ms.history))
 		}
-		m := &crackerMap{attr: md.Attr, idx: crackeridx.New(), entries: make([]entry, len(head)), aligned: md.Aligned}
-		for i := range md.Heads {
-			m.entries[i] = entry{Head: md.Heads[i], Tail: md.Tails[i], Row: md.Rows[i]}
+		m := &crackerMap{
+			attr:    md.Attr,
+			heads:   slices.Clone(md.Heads),
+			tails:   slices.Clone(md.Tails),
+			rows:    slices.Clone(md.Rows),
+			idx:     crackeridx.New(),
+			aligned: md.Aligned,
 		}
 		for _, b := range md.Boundaries {
 			if b.Pos < 0 || b.Pos > len(head) {
@@ -508,8 +608,10 @@ func RestoreMapSet(headAttr string, head []column.Value, tails map[string][]colu
 			}
 			m.idx.Insert(b.Bound, b.Pos)
 		}
-		ms.maps[md.Attr] = m
-		ms.order = append(ms.order, md.Attr)
+		ms.maps = append(ms.maps, m)
+	}
+	if len(ms.maps) > 0 {
+		ms.trim()
 	}
 	if err := ms.Validate(); err != nil {
 		return nil, fmt.Errorf("sideways: restored map set is invalid: %w", err)
@@ -519,8 +621,9 @@ func RestoreMapSet(headAttr string, head []column.Value, tails map[string][]colu
 
 // Validate checks the invariants of every materialised map: the cracker
 // index is structurally sound, every piece respects its bounds on the
-// head values, each map still holds exactly the base tuples, and the
-// head/tail pairing of every tuple is unchanged.
+// head values, each map still holds exactly the base tuples, the
+// head/tail pairing of every tuple is unchanged, and the map has not
+// applied history the set does not know.
 func (ms *MapSet) Validate() error {
 	// posOf maps a global row identifier back to its position in the
 	// base arrays, which is the identity unless explicit rows are set.
@@ -529,58 +632,54 @@ func (ms *MapSet) Validate() error {
 		return i, i < len(ms.head)
 	}
 	if ms.rows != nil {
-		byRow := make(map[column.RowID]int, len(ms.rows))
-		for i, row := range ms.rows {
-			byRow[row] = i
-		}
+		pos := ms.positions()
 		posOf = func(row column.RowID) (int, bool) {
-			i, ok := byRow[row]
-			return i, ok
+			if int(row) >= len(pos) || pos[row] < 0 {
+				return 0, false
+			}
+			return int(pos[row]), true
 		}
 	}
-	for attr, m := range ms.maps {
-		if err := m.idx.Validate(len(m.entries)); err != nil {
+	for _, m := range ms.maps {
+		attr := m.attr
+		if err := m.idx.Validate(len(m.heads)); err != nil {
 			return fmt.Errorf("map %q: %w", attr, err)
 		}
-		if len(m.entries) != len(ms.head) {
-			return fmt.Errorf("map %q: %d entries, want %d", attr, len(m.entries), len(ms.head))
+		if len(m.heads) != len(ms.head) || len(m.tails) != len(ms.head) || len(m.rows) != len(ms.head) {
+			return fmt.Errorf("map %q: %d/%d/%d entries, want %d", attr, len(m.heads), len(m.tails), len(m.rows), len(ms.head))
+		}
+		if m.aligned < ms.trimmed || m.aligned > ms.HistoryLen() {
+			return fmt.Errorf("map %q: applied %d history entries, set keeps [%d,%d]", attr, m.aligned, ms.trimmed, ms.HistoryLen())
 		}
 		tail := ms.tails[attr]
-		seen := make(map[column.RowID]bool, len(m.entries))
-		for _, e := range m.entries {
-			if seen[e.Row] {
-				return fmt.Errorf("map %q: duplicate row %d", attr, e.Row)
-			}
-			seen[e.Row] = true
-			pos, ok := posOf(e.Row)
+		seen := make([]bool, len(ms.head))
+		for i, row := range m.rows {
+			pos, ok := posOf(row)
 			if !ok {
-				return fmt.Errorf("map %q: unknown row %d", attr, e.Row)
+				return fmt.Errorf("map %q: unknown row %d", attr, row)
 			}
-			if ms.head[pos] != e.Head {
-				return fmt.Errorf("map %q: row %d head %d, want %d", attr, e.Row, e.Head, ms.head[pos])
+			if seen[pos] {
+				return fmt.Errorf("map %q: duplicate row %d", attr, row)
 			}
-			if tail[pos] != e.Tail {
-				return fmt.Errorf("map %q: row %d tail %d, want %d", attr, e.Row, e.Tail, tail[pos])
+			seen[pos] = true
+			if ms.head[pos] != m.heads[i] {
+				return fmt.Errorf("map %q: row %d head %d, want %d", attr, row, m.heads[i], ms.head[pos])
+			}
+			if tail[pos] != m.tails[i] {
+				return fmt.Errorf("map %q: row %d tail %d, want %d", attr, row, m.tails[i], tail[pos])
 			}
 		}
-		for _, piece := range m.idx.Pieces(len(m.entries)) {
+		for _, piece := range m.idx.Pieces(len(m.heads)) {
 			for i := piece.Start; i < piece.End; i++ {
-				v := m.entries[i].Head
-				if piece.HasLower && leftOfBound(v, piece.Lower) {
+				v := m.heads[i]
+				if piece.HasLower && piece.Lower.IsLeft(v) {
 					return fmt.Errorf("map %q: position %d violates lower bound %s", attr, i, piece.Lower)
 				}
-				if piece.HasUpper && !leftOfBound(v, piece.Upper) {
+				if piece.HasUpper && !piece.Upper.IsLeft(v) {
 					return fmt.Errorf("map %q: position %d violates upper bound %s", attr, i, piece.Upper)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-func leftOfBound(v column.Value, b crackeridx.Bound) bool {
-	if b.Inclusive {
-		return v <= b.Value
-	}
-	return v < b.Value
 }

@@ -2,11 +2,16 @@ package sideways
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"adaptiveindex/internal/column"
+	"adaptiveindex/internal/core"
+	"adaptiveindex/internal/cost"
+	"adaptiveindex/internal/crackeridx"
 )
 
 // table is a small multi-column test fixture.
@@ -387,5 +392,428 @@ func TestNumPiecesDoesNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = ms.NumPieces() }); allocs != 0 {
 		t.Fatalf("NumPieces allocates %.0f times per call", allocs)
+	}
+}
+
+// refEntry is one aligned triple of the entry-wise cracker map the
+// columnar layout replaced.
+type refEntry struct {
+	Head, Tail column.Value
+	Row        column.RowID
+}
+
+// refCrackMap is the entry-wise crack kernel the columnar one replaced,
+// kept as the reference: it partitions entries[lo:hi) around b and
+// charges one comparison and one value touched per head inspected and
+// one swap per exchange.
+func refCrackMap(entries []refEntry, lo, hi int, b crackeridx.Bound, c *cost.Counters) int {
+	leftOf := func(v column.Value) bool {
+		c.Comparisons++
+		c.ValuesTouched++
+		if b.Inclusive {
+			return v <= b.Value
+		}
+		return v < b.Value
+	}
+	i, j := lo, hi-1
+	for i <= j {
+		for i <= j && leftOf(entries[i].Head) {
+			i++
+		}
+		for i <= j && !leftOf(entries[j].Head) {
+			j--
+		}
+		if i < j {
+			entries[i], entries[j] = entries[j], entries[i]
+			c.Swaps++
+			i++
+			j--
+		}
+	}
+	return i
+}
+
+// refMap and refSet are the entry-wise map set with the full crack
+// history: every map, however late, replays the whole history from the
+// base order. They are the reference the columnar maps, the sibling
+// copy and the bounded history are held to.
+type refMap struct {
+	attr    string
+	entries []refEntry
+	idx     *crackeridx.Index
+	aligned int
+}
+
+type refSet struct {
+	head    []column.Value
+	tails   map[string][]column.Value
+	rows    []column.RowID
+	maps    []*refMap
+	history []crackeridx.Bound
+	c       cost.Counters
+}
+
+func (rs *refSet) mapFor(attr string) *refMap {
+	for _, m := range rs.maps {
+		if m.attr == attr {
+			return m
+		}
+	}
+	m := &refMap{attr: attr, idx: crackeridx.New(), entries: make([]refEntry, len(rs.head))}
+	for i := range rs.head {
+		row := column.RowID(i)
+		if rs.rows != nil {
+			row = rs.rows[i]
+		}
+		m.entries[i] = refEntry{Head: rs.head[i], Tail: rs.tails[attr][i], Row: row}
+	}
+	rs.c.ValuesTouched += uint64(2 * len(rs.head))
+	rs.c.TuplesCopied += uint64(len(rs.head))
+	rs.maps = append(rs.maps, m)
+	return m
+}
+
+func (rs *refSet) crack(m *refMap, b crackeridx.Bound) int {
+	piece, pos, exact := m.idx.PieceFor(b, len(m.entries))
+	if exact {
+		return pos
+	}
+	pos = refCrackMap(m.entries, piece.Start, piece.End, b, &rs.c)
+	m.idx.Insert(b, pos)
+	return pos
+}
+
+// interval answers predicate r on attr's map (the first map for the
+// head attribute "a") and returns the map and the qualifying interval.
+func (rs *refSet) interval(r column.Range, attr string) (*refMap, int, int) {
+	if attr == "a" {
+		attr = rs.maps[0].attr
+	}
+	m := rs.mapFor(attr)
+	if r.Empty() {
+		return m, 0, 0
+	}
+	for ; m.aligned < len(rs.history); m.aligned++ {
+		rs.crack(m, rs.history[m.aligned])
+	}
+	start, end := 0, len(m.entries)
+	var bounds []crackeridx.Bound
+	if r.HasLow {
+		b := core.LowerBound(r)
+		start, bounds = rs.crack(m, b), append(bounds, b)
+	}
+	if r.HasHigh {
+		b := core.UpperBound(r)
+		end, bounds = rs.crack(m, b), append(bounds, b)
+	}
+	end = max(end, start)
+	for _, b := range bounds {
+		if !slices.Contains(rs.history, b) {
+			rs.history = append(rs.history, b)
+		}
+	}
+	m.aligned = len(rs.history)
+	return m, start, end
+}
+
+// sameMaps requires every map of ms to hold exactly the physical order
+// of the reference's map for the same attribute.
+func sameMaps(t *testing.T, ms *MapSet, rs *refSet) {
+	t.Helper()
+	if len(ms.maps) != len(rs.maps) {
+		t.Fatalf("%d maps, reference has %d", len(ms.maps), len(rs.maps))
+	}
+	for i, m := range ms.maps {
+		ref := rs.maps[i]
+		if m.attr != ref.attr {
+			t.Fatalf("map %d is %q, reference %q", i, m.attr, ref.attr)
+		}
+		for p, e := range ref.entries {
+			if m.heads[p] != e.Head || m.tails[p] != e.Tail || m.rows[p] != e.Row {
+				t.Fatalf("map %q position %d: (%d,%d,%d), reference (%d,%d,%d)",
+					m.attr, p, m.heads[p], m.tails[p], m.rows[p], e.Head, e.Tail, e.Row)
+			}
+		}
+		if !slices.Equal(m.idx.Boundaries(), ref.idx.Boundaries()) {
+			t.Fatalf("map %q: index differs from the reference", m.attr)
+		}
+	}
+}
+
+// extremeTable is a fixture whose heads include both ends of the value
+// domain, so bounds at MinInt64 and MaxInt64 split real data.
+func extremeTable(rng *rand.Rand, n int) (head []column.Value, tails map[string][]column.Value) {
+	head = make([]column.Value, n)
+	tails = map[string][]column.Value{"b": make([]column.Value, n), "c": make([]column.Value, n), "d": make([]column.Value, n)}
+	for i := range head {
+		switch rng.Intn(10) {
+		case 0:
+			head[i] = math.MinInt64
+		case 1:
+			head[i] = math.MaxInt64
+		default:
+			head[i] = column.Value(rng.Intn(200) - 100)
+		}
+		for _, tail := range tails {
+			tail[i] = rng.Int63()
+		}
+	}
+	return head, tails
+}
+
+// randomRange draws a predicate over the fixture's domain, a quarter of
+// them with an end at MinInt64 or MaxInt64 (inclusive or exclusive) or
+// one-sided.
+func randomRange(rng *rand.Rand) column.Range {
+	lo := column.Value(rng.Intn(220) - 110)
+	r := column.Range{Low: lo, High: lo + column.Value(rng.Intn(60)), HasLow: true, HasHigh: true,
+		IncLow: rng.Intn(2) == 0, IncHigh: rng.Intn(2) == 0}
+	switch rng.Intn(8) {
+	case 0:
+		r.Low = math.MinInt64
+	case 1:
+		r.High = math.MaxInt64
+	case 2:
+		r.HasLow = false
+	case 3:
+		r.HasHigh = false
+	}
+	return r
+}
+
+// TestCrackKernelMatchesEntryWise holds the columnar crack kernel to
+// the entry-wise reference on random pieces and bounds, including
+// inclusive and exclusive bounds at both ends of the value domain:
+// identical physical order, split position and counters.
+func TestCrackKernelMatchesEntryWise(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(300)
+		head, tails := extremeTable(rng, n)
+		m := &crackerMap{heads: slices.Clone(head), tails: slices.Clone(tails["b"]), rows: make([]column.RowID, n)}
+		ref := make([]refEntry, n)
+		for i := range ref {
+			m.rows[i] = column.RowID(rng.Uint32())
+			ref[i] = refEntry{Head: head[i], Tail: tails["b"][i], Row: m.rows[i]}
+		}
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		b := crackeridx.Bound{Value: column.Value(rng.Intn(220) - 110), Inclusive: rng.Intn(2) == 0}
+		switch rng.Intn(4) {
+		case 0:
+			b.Value = math.MinInt64
+		case 1:
+			b.Value = math.MaxInt64
+		}
+		var want cost.Counters
+		wantPos := refCrackMap(ref, lo, hi, b, &want)
+		if pos := m.crack(lo, hi, b); pos != wantPos {
+			t.Fatalf("trial %d, bound %s on [%d,%d): split %d, reference %d", trial, b, lo, hi, pos, wantPos)
+		}
+		if m.cracked != want {
+			t.Fatalf("trial %d, bound %s: counters %+v, reference %+v", trial, b, m.cracked, want)
+		}
+		for i, e := range ref {
+			if m.heads[i] != e.Head || m.tails[i] != e.Tail || m.rows[i] != e.Row {
+				t.Fatalf("trial %d, bound %s: position %d differs from the reference", trial, b, i)
+			}
+		}
+	}
+}
+
+// TestMapSetMatchesEntryWiseReplay runs random select, count and
+// multi-attribute streams through the columnar set and the entry-wise
+// full-history reference, over the plain and the explicit-rows
+// constructor. Maps materialise late (copied from a sibling, against
+// the reference's full replay), so physical order, index, positions,
+// history length and every counter must agree after every query, while
+// the columnar set keeps only the history some map has not applied.
+func TestMapSetMatchesEntryWiseReplay(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 500 + rng.Intn(1500)
+		head, tails := extremeTable(rng, n)
+		rs := &refSet{head: head, tails: tails}
+		var ms *MapSet
+		var err error
+		if seed%2 == 0 {
+			// A written table: live tuples under sparse, shuffled row
+			// identifiers.
+			rows := make([]column.RowID, n)
+			for i, p := range rng.Perm(3 * n)[:n] {
+				rows[i] = column.RowID(p)
+			}
+			rs.rows = rows
+			ms, err = NewMapSetRows("a", head, tails, rows, DefaultOptions())
+		} else {
+			ms, err = NewMapSet("a", head, tails, DefaultOptions())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "b" first: the head attribute is answered from the first map.
+		attrs := []string{"b", "b", "b", "a", "c", "d"}
+		for q := 0; q < 300; q++ {
+			r := randomRange(rng)
+			attr := attrs[0]
+			if q >= 20 {
+				attr = attrs[rng.Intn(len(attrs))]
+			}
+			switch kind := rng.Intn(4); {
+			case kind == 0 && q > 0:
+				_, start, end := rs.interval(r, "a")
+				got, err := ms.CountRows(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != end-start {
+					t.Fatalf("seed %d query %d %s: count %d, reference %d", seed, q, r, got, end-start)
+				}
+			case kind == 1 && q >= 20:
+				multi := []string{"c", "b", "d"}
+				rows, values, err := ms.SelectProjectMulti(r, multi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range multi {
+					m, start, end := rs.interval(r, a)
+					rs.c.TuplesCopied += uint64(end - start)
+					rs.c.ValuesTouched += uint64(end - start)
+					if len(rows) != end-start || len(values[a]) != end-start {
+						t.Fatalf("seed %d query %d %s: multi %q has %d rows, reference %d", seed, q, r, a, len(values[a]), end-start)
+					}
+					for p := start; p < end; p++ {
+						if rows[p-start] != m.entries[p].Row || values[a][p-start] != m.entries[p].Tail {
+							t.Fatalf("seed %d query %d %s: multi %q position %d differs", seed, q, r, a, p)
+						}
+					}
+				}
+			default:
+				proj, err := ms.SelectProject(r, attr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, start, end := rs.interval(r, attr)
+				rs.c.TuplesCopied += uint64(end - start)
+				rs.c.ValuesTouched += uint64(end - start)
+				if len(proj.Rows) != end-start {
+					t.Fatalf("seed %d query %d %s: %d rows, reference %d", seed, q, r, len(proj.Rows), end-start)
+				}
+				for p := start; p < end; p++ {
+					want := m.entries[p].Tail
+					if attr == "a" {
+						want = m.entries[p].Head
+					}
+					if proj.Rows[p-start] != m.entries[p].Row || proj.Values[p-start] != want {
+						t.Fatalf("seed %d query %d %s: %q position %d differs", seed, q, r, attr, p)
+					}
+				}
+			}
+			if ms.Cost() != rs.c {
+				t.Fatalf("seed %d query %d: counters %+v, reference %+v", seed, q, ms.Cost(), rs.c)
+			}
+			if ms.HistoryLen() != len(rs.history) {
+				t.Fatalf("seed %d query %d: history %d, reference %d", seed, q, ms.HistoryLen(), len(rs.history))
+			}
+			sameMaps(t, ms, rs)
+		}
+		// Every map is aligned after a multi-attribute query over all of
+		// them: nothing is left to retain.
+		if _, _, err := ms.SelectProjectMulti(column.NewRange(-5, 5), []string{"b", "c", "d"}); err != nil {
+			t.Fatal(err)
+		}
+		if ms.RetainedHistory() != 0 {
+			t.Fatalf("seed %d: %d history entries retained with every map aligned", seed, ms.RetainedHistory())
+		}
+		if err := ms.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLateMapCopyEqualsReplay materialises a map after a long history on
+// a sibling: the copy must equal a map built by replaying the whole
+// history from the base order, and be charged what that replay costs.
+func TestLateMapCopyEqualsReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	head, tails := extremeTable(rng, 4000)
+	ms, err := NewMapSet("a", head, tails, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &refSet{head: head, tails: tails}
+	for q := 0; q < 200; q++ {
+		r := randomRange(rng)
+		if _, err := ms.SelectProject(r, "b"); err != nil {
+			t.Fatal(err)
+		}
+		_, start, end := rs.interval(r, "b")
+		rs.c.TuplesCopied += uint64(end - start)
+		rs.c.ValuesTouched += uint64(end - start)
+	}
+	if ms.RetainedHistory() != 0 {
+		t.Fatalf("one map, yet %d history entries retained", ms.RetainedHistory())
+	}
+	before, refBefore := ms.Cost(), rs.c
+	r := column.NewRange(-20, 20)
+	if _, err := ms.SelectProject(r, "c"); err != nil {
+		t.Fatal(err)
+	}
+	_, start, end := rs.interval(r, "c")
+	rs.c.TuplesCopied += uint64(end - start)
+	rs.c.ValuesTouched += uint64(end - start)
+	sameMaps(t, ms, rs)
+	if got, want := ms.Cost().Sub(before), rs.c.Sub(refBefore); got != want {
+		t.Fatalf("late map charged %+v, full replay %+v", got, want)
+	}
+}
+
+// TestDumpRestoreKeepsRetainedSuffix dumps a set whose second map lags
+// behind: the dump carries only the suffix that map has not applied,
+// Aligned relative to it, and the restored set answers like the
+// original.
+func TestDumpRestoreKeepsRetainedSuffix(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	tab := makeTable(rng, 2000, 300)
+	ms := newSet(t, tab, DefaultOptions())
+	for q := 0; q < 10; q++ {
+		lo := column.Value(rng.Intn(300))
+		if _, _, err := ms.SelectProjectMulti(column.NewRange(lo, lo+20), []string{"b", "c"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for q := 0; q < 15; q++ {
+		lo := column.Value(rng.Intn(300))
+		if _, err := ms.SelectProject(column.NewRange(lo, lo+20), "b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := ms.Dump()
+	if len(d.History) != ms.RetainedHistory() || len(d.History) == 0 || len(d.History) >= ms.HistoryLen() {
+		t.Fatalf("dump carries %d history entries; set retains %d of %d", len(d.History), ms.RetainedHistory(), ms.HistoryLen())
+	}
+	if d.Maps[0].Aligned != len(d.History) || d.Maps[1].Aligned != 0 {
+		t.Fatalf("dumped alignment %d/%d, want %d/0", d.Maps[0].Aligned, d.Maps[1].Aligned, len(d.History))
+	}
+	restored, err := RestoreMapSet("a", tab.a, tab.tails(), DefaultOptions(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 20; q++ {
+		lo := column.Value(rng.Intn(300))
+		r := column.NewRange(lo, lo+30)
+		for _, attr := range []string{"c", "b", "d"} {
+			proj, err := restored.SelectProject(r, attr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkProjection(t, tab, r, attr, proj)
+		}
+	}
+	if restored.RetainedHistory() != 0 {
+		t.Fatalf("restored set retains %d entries with every map aligned", restored.RetainedHistory())
+	}
+	if err := restored.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,6 +59,8 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint16(0), uint8(0), uint16(0), false, int64(0), int64(0), uint32(0))
 	f.Add(uint16(300), uint8(3), uint16(1), false, int64(-9), int64(-70001), uint32(977))
 	f.Add(uint16(40), uint8(2), uint16(7), false, int64(math.MinInt64), int64(math.MaxInt64/3), uint32(1))
+	f.Add(uint16(200), uint8(0), uint16(0), false, int64(3), int64(1), uint32(0))
+	f.Add(uint16(300), uint8(0), uint16(100), false, int64(0), int64(1), uint32(1<<31))
 	f.Fuzz(func(t *testing.T, nrows uint16, ncols uint8, blockRows uint16, dense bool, valSeed, stride int64, rowStride uint32) {
 		if ncols > 8 {
 			ncols = ncols % 8
@@ -68,9 +70,10 @@ func FuzzRoundTrip(f *testing.F) {
 			if dense {
 				rows[i] = column.RowID(i)
 			} else {
-				// An odd stride keeps the ids distinct, as a result's
-				// are: a bitset cannot carry a repeated id.
-				rows[i] = column.RowID(uint32(valSeed)*31 + uint32(i)*(rowStride|1))
+				// An even stride can repeat ids (stride 0 repeats one);
+				// the encoder must then keep packed rows, since a bitset
+				// cannot carry a repeated id.
+				rows[i] = column.RowID(uint32(valSeed)*31 + uint32(i)*rowStride)
 			}
 		}
 		h := Header{Count: int(nrows), Path: "auto"}

@@ -305,14 +305,18 @@ func (e *Encoder) writeOneBlock(rows column.IDList, cols [][]column.Value) error
 	// offset in the narrowest byte width that holds the block's span.
 	// Dense row-only results may instead take the bitset encoding when
 	// it is denser still; results with projections must keep result
-	// order, which only the packed encoding preserves.
+	// order, which only the packed encoding preserves. A bitset holds
+	// each id once, so a block whose ids repeat keeps packed rows: the
+	// decoder rejects a bitset whose popcount is not the row count.
 	rowBase, rowMax := minMax(rows)
 	rowWidth := widthFor(uint64(rowMax-rowBase), 1, 2, 4)
 	var words []uint64
 	if len(cols) == 0 && n > 0 {
 		nwords := int(rowMax)/64 + 1
 		if 4+8*nwords < 5+rowWidth*n {
-			words = column.BitsetFromIDs(rows).Words()
+			if bs := column.BitsetFromIDs(rows); bs.Count() == n {
+				words = bs.Words()
+			}
 		}
 	}
 	// Each vector grows the frame once and is then packed in place.

@@ -232,8 +232,14 @@ func refBlockFrame(rows column.IDList, cols [][]column.Value) []byte {
 		rowBase, rowMax = slices.Min(rows), slices.Max(rows)
 	}
 	rowWidth := widthFor(uint64(rowMax-rowBase), 1, 2, 4)
+	var words []uint64
 	if nwords := int(rowMax)/64 + 1; len(cols) == 0 && len(rows) > 0 && 4+8*nwords < 5+rowWidth*len(rows) {
-		words := column.BitsetFromIDs(rows).Words()
+		// A bitset holds each id once: repeated ids keep packed rows.
+		if bs := column.BitsetFromIDs(rows); bs.Count() == len(rows) {
+			words = bs.Words()
+		}
+	}
+	if words != nil {
 		b = append(b, rowsBitset)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(words)))
 		for _, w := range words {
