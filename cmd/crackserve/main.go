@@ -110,8 +110,6 @@ type config struct {
 	path        string
 	merge       string
 	shards      int
-	partitions  int
-	workers     int
 	batchWindow time.Duration
 	batchMax    int
 	inFlight    int
@@ -136,8 +134,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.path, "path", "auto", "default access path ("+strings.Join(engine.PathNames(), ", ")+")")
 	fs.StringVar(&cfg.merge, "merge", "gradual", "write merge policy ("+strings.Join(updates.PolicyNames(), ", ")+"), with optional per-table overrides: gradual,orders=immediate")
 	fs.IntVar(&cfg.shards, "shards", 0, "engine shards behind the scatter-gather front (default: one per CPU; 1 disables sharding)")
-	fs.IntVar(&cfg.partitions, "partitions", 0, "partition count for the parallel path (default: one per CPU)")
-	fs.IntVar(&cfg.workers, "workers", 0, "worker bound for the parallel path (default: one per CPU)")
 	fs.DurationVar(&cfg.batchWindow, "batch-window", 500*time.Microsecond, "batch coalescing window (0 disables batching)")
 	fs.IntVar(&cfg.batchMax, "batch-max", 64, "max queries per batch")
 	fs.IntVar(&cfg.inFlight, "inflight", 1024, "admission limit on in-flight queries")
@@ -241,8 +237,6 @@ func serve(ctx context.Context, cfg config, ln net.Listener, out io.Writer) erro
 	}
 	built, err := server.BuildExec(cat, server.EngineOptions{
 		Shards:        shards,
-		Partitions:    cfg.partitions,
-		Workers:       cfg.workers,
 		Seed:          cfg.seed,
 		MergePolicy:   mergeDefault,
 		TablePolicies: mergeTables,

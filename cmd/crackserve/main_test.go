@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"adaptiveindex/internal/api"
+	"adaptiveindex/internal/engine"
 	"adaptiveindex/internal/server"
 	"adaptiveindex/internal/trace"
 )
@@ -332,7 +334,6 @@ func TestServeSelectProjectAndPaths(t *testing.T) {
 		seed:        3,
 		shards:      1,
 		path:        "auto",
-		partitions:  4,
 		batchWindow: 200 * time.Microsecond,
 		batchMax:    64,
 		inFlight:    128,
@@ -353,7 +354,7 @@ func TestServeSelectProjectAndPaths(t *testing.T) {
 	if qr.Path == "" || qr.Path == "auto" {
 		t.Fatalf("response must name the executed path, got %q", qr.Path)
 	}
-	for _, path := range []string{"scan", "cracking", "sideways", "parallel"} {
+	for _, path := range []string{"scan", "cracking", "sideways"} {
 		qr2 := postJSON(t, url, fmt.Sprintf(`{"op":"count","low":100,"high":500,"path":%q}`, path))
 		if qr2.Count != qr.Count {
 			t.Fatalf("path %s: count %d, want %d", path, qr2.Count, qr.Count)
@@ -365,9 +366,6 @@ func TestServeSelectProjectAndPaths(t *testing.T) {
 	st := getStats(t, url)
 	if len(st.Tables) != 1 || st.Tables[0].Table != "data" || len(st.Tables[0].Columns) != 3 {
 		t.Fatalf("unexpected catalog: %+v", st.Tables)
-	}
-	if st.Structures.Parallels == 0 {
-		t.Fatal("explicit parallel path built no partitioned structure")
 	}
 }
 
@@ -387,8 +385,11 @@ func TestFlagParsing(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-tables", "bad-spec"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("bad table spec must fail")
 	}
-	if err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-n", "10", "-path", "no-such-path"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown path must fail")
+	for _, path := range []string{"no-such-path", "parallel"} {
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-n", "10", "-path", path}, &bytes.Buffer{})
+		if !errors.Is(err, engine.ErrUnknownPath) {
+			t.Fatalf("-path %s: got %v, want ErrUnknownPath", path, err)
+		}
 	}
 }
 

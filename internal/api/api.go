@@ -65,7 +65,7 @@ type QueryRequest struct {
 	// rows (select only).
 	Project []string `json:"project,omitempty"`
 	// Path selects the access path ("scan", "cracking", "sideways",
-	// "parallel", "auto"); empty means the service default.
+	// "auto"); empty means the service default.
 	Path string `json:"path,omitempty"`
 	// Trace asks for the query's phase span tree in the response (the
 	// X-Crack-Trace header does the same without touching the body).

@@ -3,8 +3,8 @@
 // (see DESIGN.md, substitutions).
 //
 // It provides tables of fixed-width columns, a catalog, and the query
-// operators the tutorial's examples need: range selection, projection
-// with tuple reconstruction, and an equi-join. The point of the package
+// operators the tutorial's examples need: range selection and
+// projection with tuple reconstruction. The point of the package
 // is the integration it demonstrates — adaptive indexing lives inside
 // the select operator, so physical reorganisation happens as a side
 // effect of ordinary query execution. Each query chooses an access
@@ -16,9 +16,6 @@
 //     random-access projection.
 //   - PathSideways: sideways cracking (package sideways) — selection
 //     and projection both become sequential after a few queries.
-//   - PathParallel: partitioned parallel cracking (package partition) —
-//     the selection column is sharded by value range and queries fan
-//     out across the partitions they overlap.
 //   - PathAuto:     the engine picks — a per-(table, column) planner
 //     tracks the observed cost of each path (logical work counters
 //     plus wall time) and routes queries to the cheapest one,
@@ -37,7 +34,6 @@ import (
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/core"
 	"adaptiveindex/internal/cost"
-	"adaptiveindex/internal/partition"
 	"adaptiveindex/internal/sideways"
 	"adaptiveindex/internal/trace"
 	"adaptiveindex/internal/updates"
@@ -263,19 +259,19 @@ func (c *Catalog) Tables() []string {
 // AccessPath selects how a selection (and its projection) is executed.
 type AccessPath uint8
 
-// Access paths. The first four are the static paths; PathAuto delegates
-// the choice to the engine's planner and is only valid through Run.
+// Access paths. The paths before PathAuto are the static paths;
+// PathAuto delegates the choice to the engine's planner and is only
+// valid through Run.
 const (
 	PathScan AccessPath = iota
 	PathCracking
 	PathSideways
-	PathParallel
 	PathAuto
 )
 
 // numStaticPaths is the number of concrete access paths the planner
 // tracks; PathAuto is a routing directive, not an executable path.
-const numStaticPaths = 4
+const numStaticPaths = PathAuto
 
 // String returns the access-path name.
 func (p AccessPath) String() string {
@@ -286,8 +282,6 @@ func (p AccessPath) String() string {
 		return "cracking"
 	case PathSideways:
 		return "sideways"
-	case PathParallel:
-		return "parallel"
 	case PathAuto:
 		return "auto"
 	default:
@@ -298,7 +292,7 @@ func (p AccessPath) String() string {
 // PathNames lists the access-path names ParsePath accepts, in path
 // order, for flag help texts and error messages.
 func PathNames() []string {
-	return []string{"scan", "cracking", "sideways", "parallel", "auto"}
+	return []string{"scan", "cracking", "sideways", "auto"}
 }
 
 // ParsePath converts an access-path name (as produced by String) back
@@ -312,8 +306,6 @@ func ParsePath(s string) (AccessPath, error) {
 		return PathCracking, nil
 	case "sideways":
 		return PathSideways, nil
-	case "parallel":
-		return PathParallel, nil
 	case "", "auto":
 		return PathAuto, nil
 	default:
@@ -351,25 +343,21 @@ func (tc TableColumn) String() string { return tc.Table + "." + tc.Column }
 // internal/updates — buffered and ripple-merged when a query actually
 // touches the affected range. It is not safe for concurrent use.
 type Engine struct {
-	cat        *Catalog
-	crackers   map[TableColumn]*updates.Column
-	mapsets    map[TableColumn]*sideways.MapSet
-	parallels  map[TableColumn]*partition.Index
-	opts       core.Options
-	partitions int
-	workers    int
-	planner    *planner
+	cat      *Catalog
+	crackers map[TableColumn]*updates.Column
+	mapsets  map[TableColumn]*sideways.MapSet
+	opts     core.Options
+	planner  *planner
 
 	// defaultPolicy and tablePolicies decide when buffered writes are
 	// merged into each table's cracked columns (see SetMergePolicy).
 	defaultPolicy updates.MergePolicy
 	tablePolicies map[string]updates.MergePolicy
 
-	// staleSideways and staleParallel mark structures dropped by a
-	// write: their next rebuild is charged as merge work, because under
-	// a sustained write stream the rebuild is re-paid, not amortised.
+	// staleSideways marks map sets dropped by a write: their next
+	// rebuild is charged as merge work, because under a sustained write
+	// stream the rebuild is re-paid, not amortised.
 	staleSideways map[TableColumn]bool
-	staleParallel map[TableColumn]bool
 
 	writes WriteCounters
 	c      cost.Counters
@@ -402,28 +390,16 @@ func New(cat *Catalog, opts core.Options) *Engine {
 		cat:           cat,
 		crackers:      make(map[TableColumn]*updates.Column),
 		mapsets:       make(map[TableColumn]*sideways.MapSet),
-		parallels:     make(map[TableColumn]*partition.Index),
 		opts:          opts,
 		planner:       newPlanner(DefaultPlannerOptions()),
 		defaultPolicy: updates.MergeGradually,
 		tablePolicies: make(map[string]updates.MergePolicy),
 		staleSideways: make(map[TableColumn]bool),
-		staleParallel: make(map[TableColumn]bool),
 	}
 }
 
 // Catalog returns the catalog the engine executes against.
 func (e *Engine) Catalog() *Catalog { return e.cat }
-
-// SetParallelPartitions overrides the shard count used by PathParallel
-// structures built afterwards. Values <= 0 restore the default (one
-// partition per available CPU).
-func (e *Engine) SetParallelPartitions(p int) { e.partitions = p }
-
-// SetParallelWorkers overrides the per-query worker bound used by
-// PathParallel structures built afterwards. Values <= 0 restore the
-// default (one worker per available CPU).
-func (e *Engine) SetParallelWorkers(w int) { e.workers = w }
 
 // SetPlannerOptions replaces the PathAuto planner configuration. It
 // resets any routing state accumulated so far, so it should be called
@@ -480,9 +456,6 @@ func (e *Engine) Cost() cost.Counters {
 	for _, ms := range e.mapsets {
 		c.Add(ms.Cost())
 	}
-	for _, px := range e.parallels {
-		c.Add(px.Cost())
-	}
 	return c
 }
 
@@ -506,32 +479,6 @@ func (e *Engine) crackerFor(t *Table, col string) (*updates.Column, error) {
 	e.emit(trace.Event{Kind: "build", Table: t.name, Column: col, Path: PathCracking.String(),
 		Fields: map[string]float64{"rows": float64(len(pairs))}})
 	return uc, nil
-}
-
-// parallelFor returns (creating on demand) the partitioned parallel
-// cracker for table.col. A rebuild after write invalidation is charged
-// as merge work: the write stream, not the reader, caused it.
-func (e *Engine) parallelFor(t *Table, col string) (*partition.Index, error) {
-	k := key(t.name, col)
-	if px, ok := e.parallels[k]; ok {
-		return px, nil
-	}
-	pairs, err := t.livePairs(col)
-	if err != nil {
-		return nil, err
-	}
-	px := partition.NewFromPairs(pairs, partition.Options{Partitions: e.partitions, Workers: e.workers, Core: e.opts})
-	kind := "build"
-	if e.staleParallel[k] {
-		delete(e.staleParallel, k)
-		built := px.Cost()
-		e.c.MergeWork += built.Total() - built.Recurring()
-		kind = "rebuild"
-	}
-	e.parallels[k] = px
-	e.emit(trace.Event{Kind: kind, Table: t.name, Column: col, Path: PathParallel.String(),
-		Fields: map[string]float64{"rows": float64(len(pairs)), "partitions": float64(len(px.PartitionStats()))}})
-	return px, nil
 }
 
 // mapsetFor returns (creating on demand) the sideways map set with
@@ -628,12 +575,6 @@ func (e *Engine) SelectRows(table, attr string, r column.Range, path AccessPath)
 			return nil, err
 		}
 		return ms.SelectRows(r)
-	case PathParallel:
-		px, err := e.parallelFor(t, attr)
-		if err != nil {
-			return nil, err
-		}
-		return px.Select(r), nil
 	case PathScan:
 		vals, err := t.Column(attr)
 		if err != nil {
@@ -688,12 +629,6 @@ func (e *Engine) CountRows(table, attr string, r column.Range, path AccessPath) 
 			return 0, err
 		}
 		return ms.CountRows(r)
-	case PathParallel:
-		px, err := e.parallelFor(t, attr)
-		if err != nil {
-			return 0, err
-		}
-		return px.Count(r), nil
 	case PathScan:
 		vals, err := t.Column(attr)
 		if err != nil {
@@ -756,12 +691,11 @@ func (e *Engine) SelectProject(table, whereAttr string, r column.Range, projectA
 		return nil, err
 	}
 	// Late tuple reconstruction: fetch every projected attribute by row
-	// identifier. After cracking — partitioned or not — the rows come
-	// back in cracked (i.e. essentially random) order, which is exactly
-	// the random-access pattern sideways cracking is designed to avoid;
-	// a scan returns rows in storage order, so its reconstruction stays
-	// sequential.
-	randomOrder := path == PathCracking || path == PathParallel
+	// identifier. After cracking the rows come back in cracked (i.e.
+	// essentially random) order, which is exactly the random-access
+	// pattern sideways cracking is designed to avoid; a scan returns
+	// rows in storage order, so its reconstruction stays sequential.
+	randomOrder := path == PathCracking
 	res := &Result{Rows: rows, Columns: make(map[string][]column.Value, len(projectAttrs))}
 	mb, mok := e.beginSpan(trace.PhaseMaterialise)
 	defer e.endSpan(mb, mok)
@@ -800,16 +734,8 @@ type Query struct {
 }
 
 // candidatesFor returns the adaptive access paths the planner races
-// for a column of t. Only paths with distinct logical-work profiles
-// are raced: sideways cracking needs at least one projection attribute
-// to drag along, so single-column tables exclude it, and the parallel
-// path is never raced — it runs the same cracking algorithm sharded,
-// so its logical work is the cracker's (the experiments confirm
-// identical totals) and racing it would double the explore catch-up
-// cost to learn a duplicate number. Parallel stays reachable
-// explicitly, where its value — wall-clock concurrency, which logical
-// counters cannot see — belongs to the caller's deployment, not the
-// cost model.
+// for a column of t. Sideways cracking needs at least one projection
+// attribute to drag along, so single-column tables exclude it.
 func (e *Engine) candidatesFor(t *Table) []AccessPath {
 	if len(t.order) > 1 {
 		return projectingCandidates
@@ -914,10 +840,6 @@ func (e *Engine) piecesFor(tc TableColumn, path AccessPath) int {
 		if ms, ok := e.mapsets[tc]; ok {
 			return ms.NumPieces()
 		}
-	case PathParallel:
-		if px, ok := e.parallels[tc]; ok {
-			return px.NumPieces()
-		}
 	}
 	return 0
 }
@@ -968,19 +890,15 @@ func (e *Engine) emitReorgEvents(tc TableColumn, path AccessPath, piecesBefore i
 // StructureStats summarises the adaptive structures the engine has
 // built so far.
 type StructureStats struct {
-	// Crackers, MapSets and Parallels count the per-column structures
-	// of each kind.
-	Crackers  int `json:"crackers"`
-	MapSets   int `json:"map_sets"`
-	Parallels int `json:"parallels"`
-	// CrackerPieces, MapPieces and ParallelPieces break the cracked
-	// pieces down by structure kind; Pieces is their total. Snapshots
-	// persist cracker and map pieces but not parallel ones (those are
-	// rebuilt in one partitioning pass).
-	CrackerPieces  int `json:"cracker_pieces"`
-	MapPieces      int `json:"map_pieces"`
-	ParallelPieces int `json:"parallel_pieces"`
-	Pieces         int `json:"pieces"`
+	// Crackers and MapSets count the per-column structures of each
+	// kind.
+	Crackers int `json:"crackers"`
+	MapSets  int `json:"map_sets"`
+	// CrackerPieces and MapPieces break the cracked pieces down by
+	// structure kind; Pieces is their total.
+	CrackerPieces int `json:"cracker_pieces"`
+	MapPieces     int `json:"map_pieces"`
+	Pieces        int `json:"pieces"`
 	// MapHistory is the crack history the map sets still keep: bounds
 	// some materialised map has not applied yet (0 while every set has
 	// a single map).
@@ -990,9 +908,8 @@ type StructureStats struct {
 // Structures reports the engine's adaptive-structure inventory.
 func (e *Engine) Structures() StructureStats {
 	s := StructureStats{
-		Crackers:  len(e.crackers),
-		MapSets:   len(e.mapsets),
-		Parallels: len(e.parallels),
+		Crackers: len(e.crackers),
+		MapSets:  len(e.mapsets),
 	}
 	for _, uc := range e.crackers {
 		s.CrackerPieces += uc.Cracker().NumPieces()
@@ -1001,64 +918,8 @@ func (e *Engine) Structures() StructureStats {
 		s.MapPieces += ms.NumPieces()
 		s.MapHistory += ms.RetainedHistory()
 	}
-	for _, px := range e.parallels {
-		s.ParallelPieces += px.NumPieces()
-	}
-	s.Pieces = s.CrackerPieces + s.MapPieces + s.ParallelPieces
+	s.Pieces = s.CrackerPieces + s.MapPieces
 	return s
-}
-
-// JoinCount returns the number of matching pairs of the equi-join
-// t1.a1 = t2.a2, executed as a hash join (build on the smaller input).
-// It exists to exercise multi-table plans on top of the substrate; the
-// adaptive part of this repository is selection-centric, as in the
-// tutorial.
-func (e *Engine) JoinCount(table1, attr1, table2, attr2 string) (int, error) {
-	t1, err := e.cat.Table(table1)
-	if err != nil {
-		return 0, err
-	}
-	t2, err := e.cat.Table(table2)
-	if err != nil {
-		return 0, err
-	}
-	v1, err := t1.Column(attr1)
-	if err != nil {
-		return 0, err
-	}
-	v2, err := t2.Column(attr2)
-	if err != nil {
-		return 0, err
-	}
-	// Build on the side with fewer LIVE tuples: raw lengths count
-	// tombstoned slots, which neither side hashes or probes.
-	build, probe := v1, v2
-	buildT, probeT := t1, t2
-	if t2.LiveRows() < t1.LiveRows() {
-		build, probe = v2, v1
-		buildT, probeT = t2, t1
-	}
-	// Both sides filter tombstones: the arrays keep deleted values (row
-	// identifiers must stay stable), so a join over the raw columns
-	// would count dead tuples.
-	ht := make(map[column.Value]int, len(build))
-	for i, v := range build {
-		e.c.ValuesTouched++
-		if len(buildT.deadLog) > 0 && buildT.deadRows[column.RowID(i)] {
-			continue
-		}
-		ht[v]++
-	}
-	matches := 0
-	for i, v := range probe {
-		e.c.ValuesTouched++
-		if len(probeT.deadLog) > 0 && probeT.deadRows[column.RowID(i)] {
-			continue
-		}
-		e.c.Comparisons++
-		matches += ht[v]
-	}
-	return matches, nil
 }
 
 // Validate checks every adaptive structure the engine has built.
@@ -1071,11 +932,6 @@ func (e *Engine) Validate() error {
 	for k, ms := range e.mapsets {
 		if err := ms.Validate(); err != nil {
 			return fmt.Errorf("mapset %s: %w", k, err)
-		}
-	}
-	for k, px := range e.parallels {
-		if err := px.Validate(); err != nil {
-			return fmt.Errorf("parallel %s: %w", k, err)
 		}
 	}
 	return nil

@@ -71,7 +71,7 @@ func TestTableAndCatalogErrors(t *testing.T) {
 
 func TestAccessPathString(t *testing.T) {
 	if PathScan.String() != "scan" || PathCracking.String() != "cracking" ||
-		PathSideways.String() != "sideways" || PathParallel.String() != "parallel" {
+		PathSideways.String() != "sideways" {
 		t.Fatal("access path names wrong")
 	}
 }
@@ -90,7 +90,7 @@ func TestSelectRowsAllPathsAgree(t *testing.T) {
 				want = append(want, column.RowID(i))
 			}
 		}
-		for _, path := range []AccessPath{PathScan, PathCracking, PathSideways, PathParallel} {
+		for _, path := range []AccessPath{PathScan, PathCracking, PathSideways} {
 			got, err := eng.SelectRows("orders", "amount", r, path)
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
@@ -115,7 +115,7 @@ func TestSelectProjectAllPathsAgree(t *testing.T) {
 	for q := 0; q < 40; q++ {
 		lo := column.Value(rng.Intn(10000))
 		r := column.NewRange(lo, lo+300)
-		for _, path := range []AccessPath{PathScan, PathCracking, PathSideways, PathParallel} {
+		for _, path := range []AccessPath{PathScan, PathCracking, PathSideways} {
 			res, err := eng.SelectProject("orders", "amount", r, []string{"status", "customer"}, path)
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
@@ -144,7 +144,7 @@ func TestSelectErrors(t *testing.T) {
 	if _, err := eng.SelectRows("missing", "amount", column.NewRange(0, 1), PathScan); !errors.Is(err, ErrUnknownTable) {
 		t.Fatalf("unknown table: %v", err)
 	}
-	for _, path := range []AccessPath{PathScan, PathCracking, PathSideways, PathParallel} {
+	for _, path := range []AccessPath{PathScan, PathCracking, PathSideways} {
 		if _, err := eng.SelectRows("orders", "missing", column.NewRange(0, 1), path); !errors.Is(err, ErrUnknownColumn) {
 			t.Fatalf("%s unknown column: %v", path, err)
 		}
@@ -154,42 +154,6 @@ func TestSelectErrors(t *testing.T) {
 	}
 	if _, err := eng.SelectProject("nope", "amount", column.NewRange(0, 1), nil, PathScan); !errors.Is(err, ErrUnknownTable) {
 		t.Fatalf("unknown table in select-project: %v", err)
-	}
-}
-
-func TestJoinCount(t *testing.T) {
-	cat := NewCatalog()
-	t1 := NewTable("left")
-	if err := t1.AddColumn("k", []column.Value{1, 2, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	t2 := NewTable("right")
-	if err := t2.AddColumn("k", []column.Value{2, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.Register(t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.Register(t2); err != nil {
-		t.Fatal(err)
-	}
-	eng := New(cat, core.DefaultOptions())
-	got, err := eng.JoinCount("left", "k", "right", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Matches: value 2 -> 2x2 = 4 pairs, value 3 -> 1 pair.
-	if got != 5 {
-		t.Fatalf("JoinCount = %d, want 5", got)
-	}
-	if _, err := eng.JoinCount("left", "k", "right", "missing"); !errors.Is(err, ErrUnknownColumn) {
-		t.Fatalf("join error handling: %v", err)
-	}
-	if _, err := eng.JoinCount("left", "missing", "right", "k"); !errors.Is(err, ErrUnknownColumn) {
-		t.Fatalf("join error handling: %v", err)
-	}
-	if _, err := eng.JoinCount("nope", "k", "right", "k"); !errors.Is(err, ErrUnknownTable) {
-		t.Fatalf("join error handling: %v", err)
 	}
 }
 
@@ -257,41 +221,6 @@ func TestEngineCostAccumulates(t *testing.T) {
 	}
 	if eng.Cost().Total() <= afterScan {
 		t.Fatal("cracking must be charged on top")
-	}
-}
-
-func TestEngineParallelPartitionsKnob(t *testing.T) {
-	cat, tab := buildCatalog(t, 5000, 11)
-	eng := New(cat, core.DefaultOptions())
-	eng.SetParallelPartitions(3)
-	amounts, _ := tab.Column("amount")
-	r := column.NewRange(1000, 4000)
-	want := column.IDList{}
-	for i, v := range amounts {
-		if r.Contains(v) {
-			want = append(want, column.RowID(i))
-		}
-	}
-	got, err := eng.SelectRows("orders", "amount", r, PathParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("got %d rows, want %d", len(got), len(want))
-	}
-	px := eng.parallels[key("orders", "amount")]
-	if px == nil {
-		t.Fatal("parallel structure not built")
-	}
-	if px.NumPartitions() != 3 {
-		t.Fatalf("NumPartitions = %d, want 3", px.NumPartitions())
-	}
-	afterParallel := eng.Cost().Total()
-	if afterParallel == 0 {
-		t.Fatal("parallel path must be charged")
-	}
-	if err := eng.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,12 +1,12 @@
 // The access-path planner behind PathAuto.
 //
 // The tutorial's thesis is that the kernel, not the DBA, should pick
-// and refine the physical design as queries arrive. The engine's four
+// and refine the physical design as queries arrive. The engine's three
 // access paths span that spectrum — plain scans, selection cracking,
-// sideways cracking, partitioned parallel cracking — and which one is
-// cheapest depends on the workload: projection width, predicate
-// overlap, how long the current focus lasts. The planner learns the
-// answer per (table, column) from the queries themselves:
+// sideways cracking — and which one is cheapest depends on the
+// workload: projection width, predicate overlap, how long the current
+// focus lasts. The planner learns the answer per (table, column) from
+// the queries themselves:
 //
 //   - Explore: the first queries are routed across the adaptive
 //     candidate paths, interleaved so every path's observation window

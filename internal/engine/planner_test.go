@@ -48,7 +48,7 @@ func TestRunDifferentialAllPaths(t *testing.T) {
 		// One engine per path so adaptive state never mixes; auto gets
 		// its own too.
 		engines := map[AccessPath]*Engine{}
-		for _, p := range []AccessPath{PathScan, PathCracking, PathSideways, PathParallel, PathAuto} {
+		for _, p := range []AccessPath{PathScan, PathCracking, PathSideways, PathAuto} {
 			engines[p] = New(cat, core.DefaultOptions())
 		}
 		names := cat.Tables()
@@ -75,7 +75,7 @@ func TestRunDifferentialAllPaths(t *testing.T) {
 				vals map[string]map[column.RowID]column.Value
 			}
 			results := map[AccessPath]keyed{}
-			for _, p := range []AccessPath{PathScan, PathCracking, PathParallel, PathAuto, PathSideways} {
+			for _, p := range []AccessPath{PathScan, PathCracking, PathAuto, PathSideways} {
 				path := p
 				if path == PathSideways && len(cols) == 1 {
 					continue // sideways needs a projection attribute to exist
@@ -242,7 +242,7 @@ func TestPlannerDriftReExplores(t *testing.T) {
 
 // TestParsePath covers the name round-trip and the error sentinel.
 func TestParsePath(t *testing.T) {
-	for _, p := range []AccessPath{PathScan, PathCracking, PathSideways, PathParallel, PathAuto} {
+	for _, p := range []AccessPath{PathScan, PathCracking, PathSideways, PathAuto} {
 		got, err := ParsePath(p.String())
 		if err != nil || got != p {
 			t.Fatalf("ParsePath(%q) = %v, %v", p.String(), got, err)
@@ -311,7 +311,7 @@ func TestCountOnlyMatchesSelectWithoutMaterialising(t *testing.T) {
 	for q := 0; q < 30; q++ {
 		lo := column.Value(rng.Intn(10000))
 		r := column.NewRange(lo, lo+400)
-		for _, path := range []AccessPath{PathScan, PathCracking, PathSideways, PathParallel, PathAuto} {
+		for _, path := range []AccessPath{PathScan, PathCracking, PathSideways, PathAuto} {
 			sel, err := eng.Run(Query{Table: "orders", Column: "amount", R: r, Path: path})
 			if err != nil {
 				t.Fatal(err)

@@ -14,13 +14,9 @@
 // snapshot taken over different data is rejected instead of serving
 // wrong answers.
 //
-// Partitioned parallel crackers are deliberately not captured: their
-// state (quantile pivots plus per-partition crackers) is rebuilt in one
-// partitioning pass on first use, which costs about as much as
-// restoring it would. Sideways map sets of written tables are not
-// captured either — every write invalidates them, so persisting one
-// would only save work when the daemon shut down after a quiet reading
-// spell; they rebuild lazily, like the parallel crackers.
+// Sideways map sets of written tables are not captured: every write
+// invalidates them, so persisting one would only save work when the
+// daemon shut down after a quiet reading spell; they rebuild lazily.
 package engine
 
 import (
@@ -481,6 +477,9 @@ func (e *Engine) restorePlan(tc TableColumn, snap PlanSnap) (*planState, error) 
 		return nil, fmt.Errorf("engine: snapshot plan %s: bad phase %q", tc, snap.Phase)
 	}
 	for _, p := range snap.Paths {
+		if p.Path == "parallel" {
+			continue // retired path, never chosen or persisted; older snapshots still list it
+		}
 		path, err := ParsePath(p.Path)
 		if err != nil || path >= numStaticPaths {
 			return nil, fmt.Errorf("engine: snapshot plan %s: bad path %q", tc, p.Path)

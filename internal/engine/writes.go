@@ -14,12 +14,12 @@
 //   - Each cracked selection column is an updates.Column; the table's
 //     merge policy (gradual, complete, immediate) decides when its
 //     pending buffers drain into the cracked layout.
-//   - Sideways map sets and partitioned parallel crackers have no
-//     incremental update story, so a write invalidates them; they
-//     rebuild lazily from the live tuples, and the rebuild — like a
-//     ripple merge — is charged as recurring merge work to the path
-//     that pays it, which is how the PathAuto planner learns that
-//     those paths are expensive under a sustained write stream.
+//   - Sideways map sets have no incremental update story, so a write
+//     invalidates them; they rebuild lazily from the live tuples, and
+//     the rebuild — like a ripple merge — is charged as recurring merge
+//     work to the path that pays it, which is how the PathAuto planner
+//     learns that sideways cracking is expensive under a sustained
+//     write stream.
 package engine
 
 import (
@@ -34,8 +34,7 @@ type WriteCounters struct {
 	// Inserts and Deletes count applied row operations.
 	Inserts uint64 `json:"inserts"`
 	Deletes uint64 `json:"deletes"`
-	// Invalidations counts adaptive structures (sideways map sets,
-	// parallel crackers) dropped by writes.
+	// Invalidations counts sideways map sets dropped by writes.
 	Invalidations uint64 `json:"invalidations"`
 }
 
@@ -91,8 +90,8 @@ func (e *Engine) MergePolicyFor(table string) updates.MergePolicy {
 // InsertRow appends one tuple — one value per column, in the table's
 // column creation order — and returns its row identifier. The base
 // table sees the row immediately; cracked selection columns buffer or
-// apply it per the table's merge policy; sideways and parallel
-// structures over the table are invalidated.
+// apply it per the table's merge policy; sideways map sets over the
+// table are invalidated.
 func (e *Engine) InsertRow(table string, vals []column.Value) (column.RowID, error) {
 	t, err := e.cat.Table(table)
 	if err != nil {
@@ -140,10 +139,9 @@ func (e *Engine) DeleteRow(table string, row column.RowID) error {
 	return nil
 }
 
-// invalidateDerived drops the sideways and parallel structures of a
-// written table. They rebuild lazily from the live tuples; the rebuild
-// is charged as merge work (see mapsetFor, parallelFor). The dropped
-// structure's accumulated cost is folded into the engine's own
+// invalidateDerived drops the sideways map sets of a written table.
+// They rebuild lazily from the live tuples; the rebuild is charged as
+// merge work (see mapsetFor). The dropped set's accumulated cost is folded into the engine's own
 // counters first — cumulative cost must never move backwards, or the
 // planner's per-query deltas would underflow.
 func (e *Engine) invalidateDerived(t *Table) {
@@ -153,12 +151,6 @@ func (e *Engine) invalidateDerived(t *Table) {
 			e.c.Add(ms.Cost())
 			delete(e.mapsets, k)
 			e.staleSideways[k] = true
-			e.writes.Invalidations++
-		}
-		if px, ok := e.parallels[k]; ok {
-			e.c.Add(px.Cost())
-			delete(e.parallels, k)
-			e.staleParallel[k] = true
 			e.writes.Invalidations++
 		}
 	}

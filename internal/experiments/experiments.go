@@ -765,7 +765,7 @@ func singleColumnEngine(vals []column.Value) *engine.Engine {
 // jumps to a new sub-domain every Queries/10 queries (the IDEBench
 // shape — a dashboard's filters re-issued as the analyst's focus
 // drifts), and every query projects one attribute, so the scan,
-// cracking, sideways and parallel paths genuinely differ in cost. The
+// cracking and sideways paths genuinely differ in cost. The
 // planner must beat the worst static path by a wide margin and track
 // close to the best one, paying only a short explore phase — the
 // kernel, not the caller, picks the physical design.
@@ -804,7 +804,7 @@ func E15Planner(cfg Config) Result {
 
 	totals := make(map[string]uint64)
 	for _, path := range []engine.AccessPath{
-		engine.PathScan, engine.PathCracking, engine.PathSideways, engine.PathParallel, engine.PathAuto,
+		engine.PathScan, engine.PathCracking, engine.PathSideways, engine.PathAuto,
 	} {
 		eng := makeEngine()
 		start := time.Now()
@@ -833,7 +833,7 @@ func E15Planner(cfg Config) Result {
 	}
 
 	best, worst := uint64(0), uint64(0)
-	for _, name := range []string{"scan", "cracking", "sideways", "parallel"} {
+	for _, name := range []string{"scan", "cracking", "sideways"} {
 		t := totals[name]
 		if best == 0 || t < best {
 			best = t

@@ -148,7 +148,7 @@ func TestE15PlannerTracksBest(t *testing.T) {
 		t.Fatalf("auto run missing: %+v", totals)
 	}
 	best, worst := uint64(0), uint64(0)
-	for _, name := range []string{"scan", "cracking", "sideways", "parallel"} {
+	for _, name := range []string{"scan", "cracking", "sideways"} {
 		if totals[name] == 0 {
 			t.Fatalf("static path %s missing: %+v", name, totals)
 		}

@@ -343,10 +343,8 @@ func (r *Router) clusterStats() api.Stats {
 		s := st.Structures
 		out.Structures.Crackers += s.Crackers
 		out.Structures.MapSets += s.MapSets
-		out.Structures.Parallels += s.Parallels
 		out.Structures.CrackerPieces += s.CrackerPieces
 		out.Structures.MapPieces += s.MapPieces
-		out.Structures.ParallelPieces += s.ParallelPieces
 		out.Structures.Pieces += s.Pieces
 		out.Structures.MapHistory += s.MapHistory
 		nodeRows[i].WorkTotal = st.WorkTotal

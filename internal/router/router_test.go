@@ -17,6 +17,7 @@ import (
 
 	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
+	"adaptiveindex/internal/engine"
 	"adaptiveindex/internal/server"
 	"adaptiveindex/internal/shard"
 	"adaptiveindex/internal/trace"
@@ -519,6 +520,37 @@ func TestAllNodesDown(t *testing.T) {
 	se := &api.StatusError{}
 	if !asStatusError(err, &se) || se.Status != http.StatusServiceUnavailable {
 		t.Fatalf("want 503, got %v", err)
+	}
+}
+
+// TestNodeBadRequestPassesThrough: a request every node rejects as bad
+// (here the retired "parallel" path) reaches the client as the nodes'
+// 400, without retries, node degradation or a partial answer.
+func TestNodeBadRequestPassesThrough(t *testing.T) {
+	rt, _ := startCluster(t, "data:4000:2", 5, 2, fastCfg())
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	c := api.NewClient(front.URL, api.ClientOptions{})
+	q := selectQuery(0, 500, "c1")
+	q.Path = "parallel"
+	res, err := c.Query(context.Background(), q)
+	se := &api.StatusError{}
+	if !asStatusError(err, &se) || se.Status != http.StatusBadRequest {
+		t.Fatalf("want 400, got %+v, %v", res, err)
+	}
+	if want := strings.Join(engine.PathNames(), ", "); !strings.Contains(se.Resp.Error, want) {
+		t.Fatalf("error %q does not list the known paths %q", se.Resp.Error, want)
+	}
+	if n := rt.retries.Load(); n != 0 {
+		t.Fatalf("router retried a bad request %d times", n)
+	}
+	if n := rt.partials.Load(); n != 0 {
+		t.Fatalf("%d partial answers to a bad request", n)
+	}
+	for id := range rt.nodes {
+		if st := nodeState(rt, id); st != "up" {
+			t.Fatalf("node %d is %s after a bad request", id, st)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func BenchmarkDispatch(b *testing.B) {
 // price of letting the planner decide.
 func BenchmarkAutoVsStaticPath(b *testing.B) {
 	const n = 200_000
-	for _, path := range []string{"scan", "cracking", "sideways", "parallel", "auto"} {
+	for _, path := range []string{"scan", "cracking", "sideways", "auto"} {
 		b.Run(path, func(b *testing.B) {
 			eng, _ := testEngine(b, n)
 			svc := newTestService(b, eng, 0, path)

@@ -130,10 +130,6 @@ type EngineOptions struct {
 	// shard owns a row stripe of every table and answers every query;
 	// see internal/shard.
 	Shards int
-	// Partitions and Workers configure PathParallel structures
-	// (defaults: one per available CPU).
-	Partitions int
-	Workers    int
 	// RandomPivotThreshold enables stochastic pivots below the given
 	// piece size (0 disables them).
 	RandomPivotThreshold int
@@ -172,8 +168,6 @@ func BuildEngine(cat *engine.Catalog, opts EngineOptions) (BuiltEngine, error) {
 		RandomPivotThreshold: opts.RandomPivotThreshold,
 	}
 	eng := engine.New(cat, coreOpts)
-	eng.SetParallelPartitions(opts.Partitions)
-	eng.SetParallelWorkers(opts.Workers)
 	eng.SetPlannerOptions(opts.Planner)
 	// applyPolicies runs both before a restore (so columns rebuilt
 	// lazily use the configured policy) and after it (so the daemon's
@@ -242,8 +236,6 @@ func BuildExec(cat *engine.Catalog, opts EngineOptions) (BuiltExec, error) {
 	if err != nil {
 		return BuiltExec{}, err
 	}
-	cl.SetParallelPartitions(opts.Partitions)
-	cl.SetParallelWorkers(opts.Workers)
 	cl.SetPlannerOptions(opts.Planner)
 	applyPolicies := func() error {
 		cl.SetMergePolicy(opts.MergePolicy)

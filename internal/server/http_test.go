@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
+	"adaptiveindex/internal/engine"
 )
 
 func newHTTPFixture(t *testing.T) (*Service, *httptest.Server, []column.Value) {
@@ -122,20 +124,28 @@ func TestHTTPQueryOneSidedAndInclusive(t *testing.T) {
 
 func TestHTTPBadRequests(t *testing.T) {
 	_, ts, _ := newHTTPFixture(t)
+	knownPaths := strings.Join(engine.PathNames(), ", ")
 	for _, c := range []struct {
 		body string
 		why  string
+		// mention, when set, must appear in the error body.
+		mention string
 	}{
-		{`{"op":"drop table"}`, "unknown op"},
-		{`{not json`, "malformed body"},
-		{`{"table":"no-such-table","low":1}`, "unknown table"},
-		{`{"column":"no-such-column","low":1}`, "unknown column"},
-		{`{"path":"btree-of-lies","low":1}`, "unknown path"},
-		{`{"op":"count","project":["c1"]}`, "count with projection"},
-		{`{"op":"select","project":["no-such-column"],"low":1}`, "unknown projection column"},
+		{`{"op":"drop table"}`, "unknown op", ""},
+		{`{not json`, "malformed body", ""},
+		{`{"table":"no-such-table","low":1}`, "unknown table", ""},
+		{`{"column":"no-such-column","low":1}`, "unknown column", ""},
+		{`{"path":"btree-of-lies","low":1}`, "unknown path", knownPaths},
+		{`{"path":"parallel","low":1}`, "retired path", knownPaths},
+		{`{"op":"count","project":["c1"]}`, "count with projection", ""},
+		{`{"op":"select","project":["no-such-column"],"low":1}`, "unknown projection column", ""},
 	} {
-		if resp, body := postQuery(t, ts.URL, c.body); resp.StatusCode != http.StatusBadRequest {
+		resp, body := postQuery(t, ts.URL, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400 (%s)", c.why, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), c.mention) {
+			t.Fatalf("%s: body %s does not list %q", c.why, body, c.mention)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/query")

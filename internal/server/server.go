@@ -135,7 +135,7 @@ type Query struct {
 	R       column.Range
 	Project []string
 	// Path is the access-path name ("scan", "cracking", "sideways",
-	// "parallel", "auto"); empty means the service default.
+	// "auto"); empty means the service default.
 	Path string
 }
 
@@ -624,7 +624,7 @@ func (s *Service) executeOne(o op, eq engine.Query) result {
 
 // epochEligible reports whether a resolved query is served by the epoch
 // read pool: reads on the auto or cracking path, when epoch reads are
-// enabled. Explicit scan/sideways/parallel paths keep their serialised
+// enabled. Explicit scan and sideways paths keep their serialised
 // executor semantics (they exist to exercise specific structures).
 func (s *Service) epochEligible(eq engine.Query) bool {
 	return s.readers > 1 && (eq.Path == engine.PathAuto || eq.Path == engine.PathCracking)

@@ -469,6 +469,90 @@ func TestSnapshotRestoreCycle(t *testing.T) {
 	}
 }
 
+// TestRestoresSnapshotsListingParallel: engines that still served the
+// "parallel" access path listed it in every planner state they
+// snapshotted. Those files must keep restoring through BuildExec, the
+// path a crackserve -snapshot boot takes, both as a single-engine
+// snapshot and as a 2-shard cluster's per-shard segments, and restore
+// the planner phase, chosen path and structure inventory the writing
+// engine reported.
+//
+// The two files under testdata were written in persist format version 5
+// by commit 60a0755, the last with the parallel path, with this program
+// run from that commit's module root (errors elided):
+//
+//	specs, _ := server.ParseTableSpecs("data:2000:3")
+//	for _, shards := range []int{1, 2} {
+//		cat, _ := server.BuildCatalog(specs, 7, 0)
+//		built, _ := server.BuildExec(cat, server.EngineOptions{Shards: shards, Seed: 7})
+//		for i := 0; i < 40; i++ {
+//			lo := column.Value(i * 397 % 1800)
+//			q := engine.Query{Table: "data", Column: "c0", R: column.NewRange(lo, lo+100), Path: engine.PathAuto}
+//			if i%2 == 0 {
+//				q.CountOnly = true
+//			} else {
+//				q.Project = []string{"c1"}
+//			}
+//			built.Exec.Run(q)
+//		}
+//		// built.Exec.SnapshotTo(f) for the file; then print
+//		// built.Exec.PlanStats() and built.Exec.Structures().
+//	}
+//
+// It reported phase exploit, chosen sideways for data.c0 at both shard
+// counts, and the inventories below with zero parallel structures.
+func TestRestoresSnapshotsListingParallel(t *testing.T) {
+	specs, err := ParseTableSpecs("data:2000:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		file   string
+		shards int
+		want   engine.StructureStats
+	}{
+		{"engine_listing_parallel.snap", 1,
+			engine.StructureStats{Crackers: 1, MapSets: 1, CrackerPieces: 16, MapPieces: 65, Pieces: 81}},
+		{"cluster2_listing_parallel.snap", 2,
+			engine.StructureStats{Crackers: 2, MapSets: 2, CrackerPieces: 32, MapPieces: 128, Pieces: 160}},
+	} {
+		cat, err := BuildCatalog(specs, 7, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := cat.Table("data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, err := tab.Column("c0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := BuildExec(cat, EngineOptions{Shards: c.shards, Seed: 7, SnapshotPath: filepath.Join("testdata", c.file)})
+		if err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		if !built.Restored {
+			t.Fatalf("%s: not restored", c.file)
+		}
+		if got := built.Exec.Structures(); got != c.want {
+			t.Fatalf("%s: restored structures %+v, want %+v", c.file, got, c.want)
+		}
+		plans := built.Exec.PlanStats()
+		if len(plans) != 1 || plans[0].Phase != "exploit" || plans[0].Chosen != "sideways" {
+			t.Fatalf("%s: restored planner %+v, want data.c0 exploiting sideways", c.file, plans)
+		}
+		r := column.NewRange(500, 700)
+		res, err := built.Exec.Run(engine.Query{Table: "data", Column: "c0", R: r, Project: []string{"c1"}, Path: engine.PathAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refCount(vals, r); res.Count != want || res.Path != engine.PathSideways {
+			t.Fatalf("%s: restored executor answered %d rows by %s, want %d by sideways", c.file, res.Count, res.Path, want)
+		}
+	}
+}
+
 // TestDirectModeServesConcurrentClients drives direct dispatch (no
 // scheduler) from many goroutines: the service latch must serialise the
 // engine and answers stay correct under -race.

@@ -5,15 +5,15 @@
 // The source paper's cracking line deliberately keeps the core
 // algorithm single-threaded — structure emerges from the query stream,
 // and the stream is sequential — which is why the service layer funnels
-// every query through one executor goroutine. internal/partition
-// already showed that in-process sharding of a single index wins at
-// multiple partitions; this package lifts the same idea to the whole
-// engine. Rows are striped round-robin by row identifier: global row g
-// lives on shard g mod N at local identifier g div N. The mapping is
-// arithmetic in both directions, appends in global order always land
-// at the next local slot of the owning shard (so inserts need no
-// routing table), and N=1 is the identity — a one-shard cluster is
-// byte-identical to a bare engine on every deterministic counter.
+// every query through one executor goroutine. This package scales out
+// without changing that: each shard is a whole engine with its own
+// sequential stream. Rows are striped round-robin by row identifier:
+// global row g lives on shard g mod N at local identifier g div N. The
+// mapping is arithmetic in both directions, appends in global order
+// always land at the next local slot of the owning shard (so inserts
+// need no routing table), and N=1 is the identity — a one-shard
+// cluster is byte-identical to a bare engine on every deterministic
+// counter.
 //
 // Every read fans out to all N shards (a stripe holds a slice of every
 // value range, so no shard can be pruned), runs the same query on each
@@ -339,10 +339,8 @@ func (c *Cluster) Structures() engine.StructureStats {
 		s := e.Structures()
 		agg.Crackers += s.Crackers
 		agg.MapSets += s.MapSets
-		agg.Parallels += s.Parallels
 		agg.CrackerPieces += s.CrackerPieces
 		agg.MapPieces += s.MapPieces
-		agg.ParallelPieces += s.ParallelPieces
 		agg.Pieces += s.Pieces
 		agg.MapHistory += s.MapHistory
 	}
@@ -430,22 +428,6 @@ func (c *Cluster) SetTableMergePolicy(table string, p updates.MergePolicy) error
 		}
 	}
 	return nil
-}
-
-// SetParallelPartitions configures the parallel access path on every
-// shard.
-func (c *Cluster) SetParallelPartitions(p int) {
-	for _, e := range c.shards {
-		e.SetParallelPartitions(p)
-	}
-}
-
-// SetParallelWorkers configures the parallel access path's worker
-// bound on every shard.
-func (c *Cluster) SetParallelWorkers(w int) {
-	for _, e := range c.shards {
-		e.SetParallelWorkers(w)
-	}
 }
 
 // SetPlannerOptions tunes the PathAuto planner on every shard.
