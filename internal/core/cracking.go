@@ -250,22 +250,26 @@ func upperBoundOf(r column.Range) crackeridx.Bound {
 // establish makes sure bound b is a recorded boundary and returns its
 // position, cracking whatever piece still covers it.
 func (cc *CrackerColumn) establish(b crackeridx.Bound) int {
-	n := len(cc.pairs)
-	piece, pos, exact := cc.index.PieceFor(b, n)
+	piece, at, exact := cc.index.PieceFor(b, len(cc.pairs))
+	return cc.establishAt(b, piece, at, exact)
+}
+
+// establishAt finishes establish from PieceFor's answer for b, so the
+// crack is recorded at the cursor found without a second search.
+func (cc *CrackerColumn) establishAt(b crackeridx.Bound, piece crackeridx.Piece, at crackeridx.Cursor, exact bool) int {
 	if exact {
-		return pos
+		return piece.Start
 	}
-	if cc.opts.RandomPivotThreshold > 0 {
+	if t := cc.opts.RandomPivotThreshold; t > 0 && piece.End-piece.Start > t {
 		cc.shrinkPieceWithRandomPivots(piece, b)
 		// The random pivots changed the piece layout; re-derive the
 		// piece that still covers b (it may even be exact now).
-		piece, pos, exact = cc.index.PieceFor(b, n)
-		if exact {
-			return pos
+		if piece, at, exact = cc.index.PieceFor(b, len(cc.pairs)); exact {
+			return piece.Start
 		}
 	}
-	pos = cc.crackInTwo(piece.Start, piece.End, b)
-	cc.index.Insert(b, pos)
+	pos := cc.crackInTwo(piece.Start, piece.End, b)
+	cc.index.InsertAt(at, b, pos)
 	return pos
 }
 
@@ -339,20 +343,23 @@ func (cc *CrackerColumn) SelectPositions(r column.Range) (start, end int) {
 		return p, p
 	}
 
+	pieceLow, atLow, exactLow := cc.index.PieceFor(bLow, n)
 	if cc.opts.CrackInThree {
-		pieceLow, posLow, exactLow := cc.index.PieceFor(bLow, n)
-		pieceHigh, posHigh, exactHigh := cc.index.PieceFor(bHigh, n)
-		if !exactLow && !exactHigh && pieceLow.Start == pieceHigh.Start && pieceLow.End == pieceHigh.End {
+		pieceHigh, atHigh, exactHigh := cc.index.PieceFor(bHigh, n)
+		switch {
+		case !exactLow && !exactHigh && atLow == atHigh:
+			// Both bounds are missing from the same piece: one pass
+			// splits it three ways, and bHigh goes right after bLow.
 			p1, p2 := cc.crackInThree(pieceLow.Start, pieceLow.End, bLow, bHigh)
-			cc.index.Insert(bLow, p1)
-			cc.index.Insert(bHigh, p2)
+			cc.index.InsertAt(cc.index.InsertAt(atLow, bLow, p1), bHigh, p2)
 			return p1, p2
-		}
-		if exactLow && exactHigh {
-			return posLow, posHigh
+		case exactLow || exactHigh:
+			// At most one bound is missing, and recording it moves no
+			// boundary: the other answer still holds.
+			return cc.establishAt(bLow, pieceLow, atLow, exactLow), cc.establishAt(bHigh, pieceHigh, atHigh, exactHigh)
 		}
 	}
-	start = cc.establish(bLow)
+	start = cc.establishAt(bLow, pieceLow, atLow, exactLow)
 	end = cc.establish(bHigh)
 	if end < start {
 		// Can only happen for pathological predicates (empty ranges

@@ -13,17 +13,30 @@
 // The original prototype in MonetDB keeps the boundaries in an AVL tree.
 // This package keeps them flat instead: bound-ordered chunks of at most
 // 64 boundaries, each chunk storing its positions relative to a chunk
-// base. A lookup is two binary searches, O(log P + chunk); shifting every
-// boundary behind a ripple is O(chunk + #chunks), because later chunks
-// only move their base. The index also maintains how many distinct
-// positions its boundaries occupy, so the piece count is an O(1) read,
-// and it records which chunks changed since a consumer last looked, so
-// an immutable copy of the catalog can be republished in proportion to
-// what changed (see core.ColSnapshot).
+// base, behind a fence directory — one flat array of every chunk's last
+// bound and one of every chunk's boundary count. A lookup binary-searches
+// the fences, which is contiguous memory, and then the one chunk it lands
+// in: O(log P + chunk) with a single chunk dereference. The rank of a
+// boundary is a sum over the flat counts, never a walk over earlier
+// chunks. Shifting every boundary behind a ripple is O(chunk + #chunks),
+// because later chunks only move their base.
+//
+// PieceFor returns, besides the piece to crack, a Cursor naming the slot
+// the missing bound belongs in; InsertAt records the fresh crack there,
+// so establishing a bound costs one search. InsertAt checks the cursor
+// against the bounds around its slot and panics on one that a mutation
+// in between has made stale, so a stale cursor cannot misplace a bound.
+//
+// The index also maintains how many distinct positions its boundaries
+// occupy, so the piece count is an O(1) read, and it records which chunks
+// changed since a consumer last looked, so an immutable copy of the
+// catalog can be republished in proportion to what changed (see
+// core.ColSnapshot).
 package crackeridx
 
 import (
 	"fmt"
+	"slices"
 
 	"adaptiveindex/internal/column"
 )
@@ -92,7 +105,8 @@ type Piece struct {
 }
 
 // defaultChunkCap is the most boundaries a chunk holds. It may not
-// exceed 64: a chunk keeps one mark bit per boundary in a uint64.
+// exceed 64: a chunk keeps one inclusive bit and one mark bit per
+// boundary in a uint64 each.
 const defaultChunkCap = 64
 
 // Chunk is one run of consecutive boundaries, in bound order. The piece
@@ -100,9 +114,10 @@ const defaultChunkCap = 64
 // boundary's position (possibly in the next chunk) or the column end.
 // Chunks are owned by their Index; callers only read them.
 type Chunk struct {
-	base   int
-	bounds []Bound
-	rel    []int
+	base int
+	n    int
+	// incl has bit j set when bound j is inclusive.
+	incl uint64
 	// marked has bit j set when something reported (MarkPieceBefore) or
 	// caused (an overwrite) a change to the tuples of boundary j's piece
 	// since the last ClearChanges.
@@ -110,13 +125,19 @@ type Chunk struct {
 	// dirty is set while the chunk is on its index's change list: its
 	// bounds changed, or one of its pieces was marked.
 	dirty bool
+	// vals and rel hold slot j's bound value and its position relative
+	// to base, in slots [0, n). They live inside the chunk, so a chunk
+	// is one allocation, and the values a lookup binary-searches are one
+	// dense array whose address needs nothing loaded from the chunk.
+	vals [defaultChunkCap]column.Value
+	rel  [defaultChunkCap]int
 }
 
 // Len returns the number of boundaries in the chunk.
-func (c *Chunk) Len() int { return len(c.bounds) }
+func (c *Chunk) Len() int { return c.n }
 
 // Bound returns the chunk's j-th bound.
-func (c *Chunk) Bound(j int) Bound { return c.bounds[j] }
+func (c *Chunk) Bound(j int) Bound { return Bound{Value: c.vals[j], Inclusive: c.incl>>uint(j)&1 != 0} }
 
 // Pos returns the absolute position of the chunk's j-th boundary.
 func (c *Chunk) Pos(j int) int { return c.base + c.rel[j] }
@@ -128,32 +149,64 @@ func (c *Chunk) Marked(j int) bool { return c.marked>>uint(j)&1 != 0 }
 // Dirty reports whether the chunk changed since the last ClearChanges.
 func (c *Chunk) Dirty() bool { return c.dirty }
 
-func (c *Chunk) last() Bound { return c.bounds[len(c.bounds)-1] }
+func (c *Chunk) last() Bound { return c.Bound(c.n - 1) }
 
-// insertAt places a boundary at slot j, keeping the mark bits aligned.
-func (c *Chunk) insertAt(j int, b Bound, pos int) {
-	c.bounds = append(c.bounds, Bound{})
-	copy(c.bounds[j+1:], c.bounds[j:])
-	c.bounds[j] = b
-	c.rel = append(c.rel, 0)
-	copy(c.rel[j+1:], c.rel[j:])
-	c.rel[j] = pos - c.base
-	low := uint64(1)<<uint(j) - 1
-	c.marked = c.marked&low | (c.marked&^low)<<1
+// firstAtLeast returns the first of the chunk's first n slots whose
+// value is at least v, or n.
+func (c *Chunk) firstAtLeast(n int, v column.Value) int {
+	vals := c.vals[:n]
+	l, h := 0, len(vals)
+	for l < h {
+		m := int(uint(l+h) >> 1)
+		if vals[m] < v {
+			l = m + 1
+		} else {
+			h = m
+		}
+	}
+	return l
 }
 
-// removeAt drops slot j, keeping the mark bits aligned.
+// insertAt places a boundary at slot j, keeping the bit sets aligned.
+func (c *Chunk) insertAt(j int, b Bound, pos int) {
+	copy(c.vals[j+1:c.n+1], c.vals[j:c.n])
+	copy(c.rel[j+1:c.n+1], c.rel[j:c.n])
+	c.vals[j], c.rel[j] = b.Value, pos-c.base
+	c.incl = insertBit(c.incl, j, b.Inclusive)
+	c.marked = insertBit(c.marked, j, false)
+	c.n++
+}
+
+// removeAt drops slot j, keeping the bit sets aligned.
 func (c *Chunk) removeAt(j int) {
-	c.bounds = append(c.bounds[:j], c.bounds[j+1:]...)
-	c.rel = append(c.rel[:j], c.rel[j+1:]...)
+	copy(c.vals[j:c.n-1], c.vals[j+1:c.n])
+	copy(c.rel[j:c.n-1], c.rel[j+1:c.n])
+	c.incl, c.marked = removeBit(c.incl, j), removeBit(c.marked, j)
+	c.n--
+}
+
+// insertBit moves bits j and up of m one place up and sets bit j to
+// bit.
+func insertBit(m uint64, j int, bit bool) uint64 {
 	low := uint64(1)<<uint(j) - 1
-	c.marked = c.marked&low | (c.marked>>1)&^low
+	return m&low | (m&^low)<<1 | uint64(b2i(bit))<<uint(j)
+}
+
+// removeBit drops bit j of m, moving the bits above it one place down.
+func removeBit(m uint64, j int) uint64 {
+	low := uint64(1)<<uint(j) - 1
+	return m&low | (m>>1)&^low
 }
 
 // Index is the cracker index. The zero value is an empty index ready
 // for use. Index is not safe for concurrent use.
 type Index struct {
 	chunks []*Chunk
+	// fences[ci] is chunks[ci]'s last bound and counts[ci] its number of
+	// boundaries: the directory lookups search and ranks sum without
+	// dereferencing a chunk.
+	fences []Bound
+	counts []int32
 	size   int
 	// samePos counts the pairs of bound-order neighbours that share a
 	// position, so size-samePos is the number of distinct positions
@@ -186,64 +239,64 @@ func (ix *Index) Len() int { return ix.size }
 // belong to the index and must not be modified.
 func (ix *Index) Chunks() []*Chunk { return ix.chunks }
 
+// Cursor names a slot in an index's bound order: the slot of the first
+// boundary ordering after a bound the index does not hold, or the end.
+// PieceFor returns one and InsertAt consumes it.
+type Cursor struct{ ci, j int }
+
 // locate returns the cursor (ci, j) of the first boundary ordering at
 // or after b — ci == len(Chunks()) when there is none — and whether it
-// is b itself. Two binary searches: over chunk maxima, then in a chunk.
+// is b itself. Two binary searches: over the fences, then in one chunk.
 func (ix *Index) locate(b Bound) (ci, j int, found bool) {
-	lo, hi := 0, len(ix.chunks)
+	fences := ix.fences
+	lo, hi := 0, len(fences)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if ix.chunks[m].last().Compare(b) < 0 {
+		if fences[m].Compare(b) < 0 {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	if lo == len(ix.chunks) {
+	if lo == len(fences) {
 		return lo, 0, false
 	}
+	// The chunk holds a bound at or after b. Of the bounds with b's
+	// value, only an exclusive one can order before b.
 	c := ix.chunks[lo]
-	l, h := 0, len(c.bounds)
-	for l < h {
-		m := int(uint(l+h) >> 1)
-		if c.bounds[m].Compare(b) < 0 {
-			l = m + 1
-		} else {
-			h = m
-		}
+	l := c.firstAtLeast(int(ix.counts[lo]), b.Value)
+	if c.vals[l] == b.Value && c.incl>>uint(l)&1 == 0 && b.Inclusive {
+		l++
 	}
-	return lo, l, c.bounds[l].Compare(b) == 0
+	return lo, l, c.Bound(l) == b
 }
 
 // FirstLeftOf returns the cursor (ci, j) of the first boundary value v
 // lies to the left of, and its rank k among all boundaries. When v lies
 // right of every boundary, ci == len(Chunks()) and k == Len().
 func (ix *Index) FirstLeftOf(v column.Value) (ci, j, k int) {
-	lo, hi := 0, len(ix.chunks)
+	fences := ix.fences
+	lo, hi := 0, len(fences)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if !ix.chunks[m].last().IsLeft(v) {
+		if !fences[m].IsLeft(v) {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	if lo == len(ix.chunks) {
+	if lo == len(fences) {
 		return lo, 0, ix.size
 	}
+	// v lies right of an exclusive bound on v itself.
 	c := ix.chunks[lo]
-	l, h := 0, len(c.bounds)
-	for l < h {
-		m := int(uint(l+h) >> 1)
-		if !c.bounds[m].IsLeft(v) {
-			l = m + 1
-		} else {
-			h = m
-		}
+	l := c.firstAtLeast(int(ix.counts[lo]), v)
+	if c.vals[l] == v && c.incl>>uint(l)&1 == 0 {
+		l++
 	}
 	k = l
-	for _, p := range ix.chunks[:lo] {
-		k += len(p.bounds)
+	for _, n := range ix.counts[:lo] {
+		k += int(n)
 	}
 	return lo, l, k
 }
@@ -255,14 +308,14 @@ func (ix *Index) pred(ci, j int) (int, int, bool) {
 		return ci, j - 1, true
 	}
 	if ci > 0 {
-		return ci - 1, len(ix.chunks[ci-1].bounds) - 1, true
+		return ci - 1, ix.chunks[ci-1].n - 1, true
 	}
 	return 0, 0, false
 }
 
 // next returns the cursor of the boundary after (ci, j), if any.
 func (ix *Index) next(ci, j int) (int, int, bool) {
-	if j+1 < len(ix.chunks[ci].bounds) {
+	if j+1 < ix.chunks[ci].n {
 		return ci, j + 1, true
 	}
 	if ci+1 < len(ix.chunks) {
@@ -301,11 +354,12 @@ func (ix *Index) Lookup(b Bound) (int, bool) {
 
 // Insert records that bound b splits the column at position pos. If the
 // bound already exists its position is overwritten, which marks the
-// pieces on both sides of it as changed.
+// pieces on both sides of it as changed. A fresh crack found by PieceFor
+// is recorded with InsertAt instead, which does not search again.
 func (ix *Index) Insert(b Bound, pos int) {
 	ci, j, found := ix.locate(b)
-	pc, pj, hasPred := ix.pred(ci, j)
 	if found {
+		pc, pj, hasPred := ix.pred(ci, j)
 		c := ix.chunks[ci]
 		nc, nj, hasNext := ix.next(ci, j)
 		old := c.Pos(j)
@@ -316,6 +370,45 @@ func (ix *Index) Insert(b Bound, pos int) {
 		ix.markPiece(ci, j)
 		return
 	}
+	ix.insert(ci, j, b, pos)
+}
+
+// InsertAt records that bound b, which the index does not hold, splits
+// the column at position pos, placing it at cursor at — the one PieceFor
+// returned for b — without searching again. It returns the cursor
+// following b, at which a bound ordering between b and its successor
+// (the upper bound of a crack in three) can be recorded next. The result
+// equals Insert(b, pos). InsertAt panics when at is not b's slot, which
+// is what any mutation of the index since PieceFor may have made it.
+func (ix *Index) InsertAt(at Cursor, b Bound, pos int) Cursor {
+	if !ix.fits(at, b) {
+		panic(fmt.Sprintf("crackeridx: stale cursor %v for bound %s", at, b))
+	}
+	return ix.insert(at.ci, at.j, b, pos)
+}
+
+// fits reports whether at is the slot of a bound b the index does not
+// hold: a real slot or the end, with only smaller bounds before it and
+// only larger ones from it on.
+func (ix *Index) fits(at Cursor, b Bound) bool {
+	switch {
+	case at.ci < 0 || at.ci > len(ix.chunks) || at.j < 0:
+		return false
+	case at.ci == len(ix.chunks):
+		if at.j != 0 {
+			return false
+		}
+	case at.j >= ix.chunks[at.ci].n || ix.chunks[at.ci].Bound(at.j).Compare(b) <= 0:
+		return false
+	}
+	pc, pj, hasPred := ix.pred(at.ci, at.j)
+	return !hasPred || ix.chunks[pc].Bound(pj).Compare(b) < 0
+}
+
+// insert places the new bound b at cursor (ci, j), splitting a full
+// chunk, and returns the cursor following it.
+func (ix *Index) insert(ci, j int, b Bound, pos int) Cursor {
+	pc, pj, hasPred := ix.pred(ci, j)
 	hasSucc := ci < len(ix.chunks)
 	ix.samePos += ix.sameAt(pc, pj, hasPred, pos) + ix.sameAt(ci, j, hasSucc, pos)
 	if hasPred && hasSucc {
@@ -325,53 +418,65 @@ func (ix *Index) Insert(b Bound, pos int) {
 	capacity := ix.capacity()
 	switch {
 	case len(ix.chunks) == 0:
-		ix.chunks = append(ix.chunks, ix.newChunk(pos))
+		ix.insertChunk(0, &Chunk{base: pos})
 	case !hasSucc:
-		ci, j = len(ix.chunks)-1, len(ix.chunks[len(ix.chunks)-1].bounds)
+		ci, j = len(ix.chunks)-1, ix.chunks[len(ix.chunks)-1].n
 	}
-	if c := ix.chunks[ci]; len(c.bounds) == capacity {
-		if ci == len(ix.chunks)-1 && j == len(c.bounds) {
+	if c := ix.chunks[ci]; c.n == capacity {
+		if ci == len(ix.chunks)-1 && j == c.n {
 			// Appending past the last boundary (a restore replaying
 			// bounds in order does this): start a fresh chunk and leave
 			// the full one full.
-			ix.insertChunk(ci+1, ix.newChunk(pos))
+			ix.insertChunk(ci+1, &Chunk{base: pos})
 			ci, j = ci+1, 0
 		} else {
-			half := len(c.bounds) / 2
+			half := c.n / 2
 			ix.insertChunk(ci+1, ix.splitOff(c, half))
+			ix.syncFence(ci)
 			ix.touch(c)
 			if j > half {
 				ci, j = ci+1, j-half
 			}
 		}
 	}
-	ix.chunks[ci].insertAt(j, b, pos)
-	ix.touch(ix.chunks[ci])
+	c := ix.chunks[ci]
+	c.insertAt(j, b, pos)
+	ix.syncFence(ci)
+	ix.touch(c)
 	// The piece before b now ends at b: its bounds changed.
 	ix.MarkPieceBefore(ci, j)
-}
-
-func (ix *Index) newChunk(base int) *Chunk {
-	capacity := ix.capacity()
-	return &Chunk{base: base, bounds: make([]Bound, 0, capacity), rel: make([]int, 0, capacity)}
+	if j+1 < c.n {
+		return Cursor{ci, j + 1}
+	}
+	return Cursor{ci + 1, 0}
 }
 
 // splitOff moves c's boundaries from slot half onwards into a new chunk.
 func (ix *Index) splitOff(c *Chunk, half int) *Chunk {
-	nc := ix.newChunk(c.base)
-	nc.bounds = append(nc.bounds, c.bounds[half:]...)
-	nc.rel = append(nc.rel, c.rel[half:]...)
-	nc.marked = c.marked >> uint(half)
-	c.bounds, c.rel = c.bounds[:half], c.rel[:half]
-	c.marked &= uint64(1)<<uint(half) - 1
+	nc := &Chunk{base: c.base}
+	nc.n = copy(nc.vals[:], c.vals[half:c.n])
+	copy(nc.rel[:], c.rel[half:c.n])
+	low := uint64(1)<<uint(half) - 1
+	nc.incl, nc.marked = c.incl>>uint(half), c.marked>>uint(half)
+	c.n, c.incl, c.marked = half, c.incl&low, c.marked&low
 	ix.touch(nc)
 	return nc
 }
 
+// insertChunk places c at chunk slot at, with its directory entries.
 func (ix *Index) insertChunk(at int, c *Chunk) {
-	ix.chunks = append(ix.chunks, nil)
-	copy(ix.chunks[at+1:], ix.chunks[at:])
-	ix.chunks[at] = c
+	ix.chunks = slices.Insert(ix.chunks, at, c)
+	ix.fences = slices.Insert(ix.fences, at, Bound{})
+	ix.counts = slices.Insert(ix.counts, at, 0)
+	if c.n > 0 {
+		ix.syncFence(at)
+	}
+}
+
+// syncFence refreshes the directory entries of the non-empty chunk ci.
+func (ix *Index) syncFence(ci int) {
+	c := ix.chunks[ci]
+	ix.fences[ci], ix.counts[ci] = c.last(), int32(c.n)
 }
 
 // touch puts c on the change list.
@@ -421,8 +526,12 @@ func (ix *Index) Delete(b Bound) bool {
 	ix.MarkPieceBefore(ci, j)
 	c.removeAt(j)
 	ix.touch(c)
-	if len(c.bounds) == 0 {
-		ix.chunks = append(ix.chunks[:ci], ix.chunks[ci+1:]...)
+	if c.n == 0 {
+		ix.chunks = slices.Delete(ix.chunks, ci, ci+1)
+		ix.fences = slices.Delete(ix.fences, ci, ci+1)
+		ix.counts = slices.Delete(ix.counts, ci, ci+1)
+	} else {
+		ix.syncFence(ci)
 	}
 	ix.size--
 	return true
@@ -430,33 +539,36 @@ func (ix *Index) Delete(b Bound) bool {
 
 // PieceFor returns the contiguous region of the column (given its total
 // length n) that must be inspected to establish bound b. If the bound is
-// already recorded, exact is true and exactPos holds its position; the
-// caller does not need to reorganise anything. Otherwise [start, end)
-// delimits the piece that has to be cracked, and lower/upper describe
-// the boundaries that enclose it (if any).
-func (ix *Index) PieceFor(b Bound, n int) (piece Piece, exactPos int, exact bool) {
+// already recorded, exact is true and the piece is the empty region at
+// b's position: the caller does not need to reorganise anything.
+// Otherwise [Start, End) delimits the piece that has to be cracked,
+// Lower/Upper describe the boundaries that enclose it (if any), and at
+// is the slot where InsertAt records the crack. Two bounds missing from
+// the same piece get the same cursor.
+func (ix *Index) PieceFor(b Bound, n int) (piece Piece, at Cursor, exact bool) {
 	ci, j, found := ix.locate(b)
 	if found {
-		return Piece{Start: 0, End: n}, ix.chunks[ci].Pos(j), true
+		pos := ix.chunks[ci].Pos(j)
+		return Piece{Start: pos, End: pos}, Cursor{ci, j}, true
 	}
 	piece = Piece{Start: 0, End: n}
 	if ci < len(ix.chunks) {
 		c := ix.chunks[ci]
-		piece.End, piece.Upper, piece.HasUpper = c.Pos(j), c.bounds[j], true
+		piece.End, piece.Upper, piece.HasUpper = c.Pos(j), c.Bound(j), true
 	}
 	if pc, pj, ok := ix.pred(ci, j); ok {
 		c := ix.chunks[pc]
-		piece.Start, piece.Lower, piece.HasLower = c.Pos(pj), c.bounds[pj], true
+		piece.Start, piece.Lower, piece.HasLower = c.Pos(pj), c.Bound(pj), true
 	}
-	return piece, 0, false
+	return piece, Cursor{ci, j}, false
 }
 
 // Boundaries returns all boundaries in increasing bound order.
 func (ix *Index) Boundaries() []Boundary {
 	out := make([]Boundary, 0, ix.size)
 	for _, c := range ix.chunks {
-		for j, b := range c.bounds {
-			out = append(out, Boundary{Bound: b, Pos: c.Pos(j)})
+		for j := range c.n {
+			out = append(out, Boundary{Bound: c.Bound(j), Pos: c.Pos(j)})
 		}
 	}
 	return out
@@ -471,8 +583,8 @@ func (ix *Index) Pieces(n int) []Piece {
 	var lower Bound
 	hasLower := false
 	for _, c := range ix.chunks {
-		for j, b := range c.bounds {
-			pos := c.Pos(j)
+		for j := range c.n {
+			b, pos := c.Bound(j), c.Pos(j)
 			if pos > start {
 				pieces = append(pieces, Piece{
 					Start: start, End: pos,
@@ -505,7 +617,7 @@ func (ix *Index) NumPieces(n int) int {
 		pieces++
 	}
 	last := ix.chunks[len(ix.chunks)-1]
-	if last.Pos(len(last.bounds)-1) != n {
+	if last.Pos(last.n-1) != n {
 		pieces++
 	}
 	return max(pieces, 1)
@@ -528,7 +640,7 @@ func (ix *Index) ShiftFrom(ci, j, delta int) {
 	if j == 0 {
 		c.base += delta
 	} else {
-		for y := j; y < len(c.rel); y++ {
+		for y := j; y < c.n; y++ {
 			c.rel[y] += delta
 		}
 	}
@@ -553,7 +665,7 @@ func (ix *Index) Remap(move func(i, pos int) int) {
 	ix.samePos = 0
 	i, prev, hasPrev := 0, 0, false
 	for _, c := range ix.chunks {
-		for j := range c.rel {
+		for j := range c.n {
 			pos := move(i, c.Pos(j))
 			c.rel[j] = pos - c.base
 			if hasPrev && prev == pos {
@@ -585,7 +697,7 @@ func (ix *Index) CollapseRange(start, end int) {
 		return pos
 	})
 	for _, c := range ix.chunks {
-		c.marked = ^uint64(0) >> uint(64-len(c.bounds))
+		c.marked = ^uint64(0) >> uint(64-c.n)
 		ix.touch(c)
 	}
 	ix.headMarked = true
@@ -594,13 +706,10 @@ func (ix *Index) CollapseRange(start, end int) {
 // Clone returns an independent copy of the index: the same boundaries
 // at the same positions, with change tracking starting clean.
 func (ix *Index) Clone() *Index {
-	out := &Index{chunks: make([]*Chunk, len(ix.chunks)), size: ix.size, samePos: ix.samePos, chunkCap: ix.chunkCap}
+	out := &Index{chunks: make([]*Chunk, len(ix.chunks)), fences: slices.Clone(ix.fences), counts: slices.Clone(ix.counts),
+		size: ix.size, samePos: ix.samePos, chunkCap: ix.chunkCap}
 	for i, c := range ix.chunks {
-		out.chunks[i] = &Chunk{
-			base:   c.base,
-			bounds: append(make([]Bound, 0, cap(c.bounds)), c.bounds...),
-			rel:    append(make([]int, 0, cap(c.rel)), c.rel...),
-		}
+		out.chunks[i] = &Chunk{base: c.base, n: c.n, incl: c.incl, vals: c.vals, rel: c.rel}
 	}
 	return out
 }
@@ -630,18 +739,26 @@ func (ix *Index) ClearChanges() {
 
 // checkChunks validates the chunk structure alone: no chunk empty or
 // over capacity, mark bits only on existing slots, bounds strictly
-// increasing across the whole index, and the maintained size.
+// increasing across the whole index, the fence directory agreeing with
+// the chunks, and the maintained size.
 func (ix *Index) checkChunks() error {
+	if len(ix.fences) != len(ix.chunks) || len(ix.counts) != len(ix.chunks) {
+		return fmt.Errorf("directory holds %d fences and %d counts for %d chunks", len(ix.fences), len(ix.counts), len(ix.chunks))
+	}
 	size := 0
 	var prev Bound
 	for ci, c := range ix.chunks {
-		if len(c.bounds) == 0 || len(c.bounds) > ix.capacity() || len(c.rel) != len(c.bounds) {
-			return fmt.Errorf("chunk %d holds %d bounds and %d positions (capacity %d)", ci, len(c.bounds), len(c.rel), ix.capacity())
+		if c.n <= 0 || c.n > ix.capacity() {
+			return fmt.Errorf("chunk %d holds %d bounds (capacity %d)", ci, c.n, ix.capacity())
 		}
-		if c.marked>>uint(len(c.bounds)) != 0 {
-			return fmt.Errorf("chunk %d has mark bits beyond its %d bounds", ci, len(c.bounds))
+		if ix.fences[ci] != c.last() || int(ix.counts[ci]) != c.n {
+			return fmt.Errorf("chunk %d has fence %s and count %d, holds %d bounds up to %s", ci, ix.fences[ci], ix.counts[ci], c.n, c.last())
 		}
-		for j, b := range c.bounds {
+		if (c.marked|c.incl)>>uint(c.n) != 0 {
+			return fmt.Errorf("chunk %d has mark or inclusive bits beyond its %d bounds", ci, c.n)
+		}
+		for j := range c.n {
+			b := c.Bound(j)
 			if size > 0 && prev.Compare(b) >= 0 {
 				return fmt.Errorf("boundaries out of order: %s then %s (chunk %d slot %d)", prev, b, ci, j)
 			}
@@ -666,8 +783,8 @@ func (ix *Index) Validate(n int) error {
 	}
 	prevPos := 0
 	for _, c := range ix.chunks {
-		for j, b := range c.bounds {
-			pos := c.Pos(j)
+		for j := range c.n {
+			b, pos := c.Bound(j), c.Pos(j)
 			if pos < 0 || pos > n {
 				return fmt.Errorf("boundary %s has position %d outside [0,%d]", b, pos, n)
 			}

@@ -1,7 +1,9 @@
 package crackeridx
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adaptiveindex/internal/column"
@@ -121,10 +123,10 @@ func TestPieceForNarrowing(t *testing.T) {
 		t.Fatalf("piece bounds wrong: %+v", piece)
 	}
 
-	// Exact hit.
-	_, pos, exact := ix.PieceFor(Bound{Value: 50}, 1000)
-	if !exact || pos != 400 {
-		t.Fatalf("exact lookup failed: %d %v", pos, exact)
+	// Exact hit: the empty region at the bound's position.
+	piece, _, exact = ix.PieceFor(Bound{Value: 50}, 1000)
+	if !exact || piece.Start != 400 || piece.End != 400 {
+		t.Fatalf("exact lookup failed: %+v %v", piece, exact)
 	}
 
 	// Below all boundaries.
@@ -297,9 +299,12 @@ func TestValidateDetectsBadPositions(t *testing.T) {
 	}
 }
 
-// Random insert/delete/lookup torture test against a reference map,
-// also checking the chunk structure, with default and with tiny chunks
-// (so splits and emptied chunks happen throughout).
+// Random insert/delete/lookup torture test against a sorted-slice
+// reference, also checking the chunk structure and the fence directory,
+// with default and with tiny chunks (so splits and emptied chunks happen
+// throughout). Fresh bounds go in through PieceFor's cursor or through
+// Insert; PieceFor, Lookup and FirstLeftOf are compared against the
+// reference after every op, Clone and Clear included.
 func TestRandomizedAgainstReference(t *testing.T) {
 	for _, capacity := range []int{0, 4} {
 		randomizedAgainstReference(t, &Index{chunkCap: capacity})
@@ -308,28 +313,42 @@ func TestRandomizedAgainstReference(t *testing.T) {
 
 func randomizedAgainstReference(t *testing.T, ix *Index) {
 	rng := rand.New(rand.NewSource(42))
-	ref := make(map[Bound]int)
+	const n = 100000
+	var ref []Boundary // sorted by bound; positions are arbitrary
+	search := func(b Bound) (int, bool) {
+		return slices.BinarySearchFunc(ref, b, func(e Boundary, b Bound) int { return e.Bound.Compare(b) })
+	}
 	for step := 0; step < 5000; step++ {
 		v := column.Value(rng.Intn(200))
 		b := Bound{Value: v, Inclusive: rng.Intn(2) == 0}
-		switch rng.Intn(3) {
-		case 0:
-			pos := rng.Intn(100000)
+		k, found := search(b)
+		switch op := rng.Intn(400); {
+		case op < 120:
+			pos := rng.Intn(n)
 			ix.Insert(b, pos)
-			ref[b] = pos
-		case 1:
-			got := ix.Delete(b)
-			_, want := ref[b]
-			if got != want {
-				t.Fatalf("step %d: Delete(%s) = %v, want %v", step, b, got, want)
+			if found {
+				ref[k].Pos = pos
+			} else {
+				ref = slices.Insert(ref, k, Boundary{Bound: b, Pos: pos})
 			}
-			delete(ref, b)
-		default:
-			pos, ok := ix.Lookup(b)
-			wantPos, wantOK := ref[b]
-			if ok != wantOK || (ok && pos != wantPos) {
-				t.Fatalf("step %d: Lookup(%s) = %d,%v want %d,%v", step, b, pos, ok, wantPos, wantOK)
+		case op < 200:
+			if _, at, exact := ix.PieceFor(b, n); !exact {
+				pos := rng.Intn(n)
+				ix.InsertAt(at, b, pos)
+				ref = slices.Insert(ref, k, Boundary{Bound: b, Pos: pos})
 			}
+		case op < 320:
+			if got := ix.Delete(b); got != found {
+				t.Fatalf("step %d: Delete(%s) = %v, want %v", step, b, got, found)
+			}
+			if found {
+				ref = slices.Delete(ref, k, k+1)
+			}
+		case op < 340:
+			ix = ix.Clone()
+		case op == 399:
+			ix.Clear()
+			ref = ref[:0]
 		}
 		if ix.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, want %d", step, ix.Len(), len(ref))
@@ -337,15 +356,14 @@ func randomizedAgainstReference(t *testing.T, ix *Index) {
 		if err := ix.checkChunks(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-	}
-	bs := ix.Boundaries()
-	if len(bs) != len(ref) {
-		t.Fatalf("Boundaries returned %d entries, want %d", len(bs), len(ref))
-	}
-	for i := 1; i < len(bs); i++ {
-		if bs[i-1].Bound.Compare(bs[i].Bound) >= 0 {
-			t.Fatal("Boundaries not sorted")
+		for _, probe := range []Bound{b, {Value: v + 1}, {Value: column.Value(rng.Intn(202) - 1), Inclusive: true}} {
+			if err := checkSearch(ix, ref, n, probe); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
 		}
+	}
+	if !slices.Equal(ix.Boundaries(), ref) {
+		t.Fatalf("Boundaries() = %v, want %v", ix.Boundaries(), ref)
 	}
 }
 
@@ -363,5 +381,123 @@ func TestSortedPositions(t *testing.T) {
 		if bs[i].Pos != want[i] {
 			t.Fatalf("got %v want positions %v", bs, want)
 		}
+	}
+}
+
+// changeState renders what a snapshot consumer reads of ix's change
+// record: the head mark and every chunk's size, dirty flag and marks.
+func changeState(ix *Index) string {
+	s := fmt.Sprintf("head %v", ix.HeadMarked())
+	for ci, c := range ix.Chunks() {
+		s += fmt.Sprintf(" | chunk %d len %d dirty %v marks %b", ci, c.Len(), c.Dirty(), c.marked)
+	}
+	return s
+}
+
+// A crack recorded at PieceFor's cursor — one bound, or the two bounds
+// of a crack in three — leaves the same boundaries, piece count, chunk
+// layout and change marks as recording it with Insert.
+func TestInsertAtMatchesInsert(t *testing.T) {
+	for _, capacity := range genCaps {
+		for seed := int64(1); seed <= 10; seed++ {
+			viaInsert, viaCursor := &Index{chunkCap: capacity}, &Index{chunkCap: capacity}
+			genA, genB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			pick := rand.New(rand.NewSource(-seed))
+			nA, nB := 1+genA.Intn(genMaxRows), 1+genB.Intn(genMaxRows)
+			for step := 0; step < 1000; step++ {
+				pieceOp(viaInsert, &nA, genA)
+				pieceOp(viaCursor, &nB, genB)
+				if step%7 == 0 {
+					viaInsert.ClearChanges()
+					viaCursor.ClearChanges()
+				}
+				low := Bound{Value: column.Value(pick.Intn(genValues)), Inclusive: pick.Intn(2) == 0}
+				high := Bound{Value: low.Value + 1, Inclusive: pick.Intn(2) == 0}
+				three := pick.Intn(2) == 0
+				piece, at, exact := viaCursor.PieceFor(low, nB)
+				_, atHigh, exactHigh := viaCursor.PieceFor(high, nB)
+				if exact || (three && (exactHigh || at != atHigh)) {
+					continue
+				}
+				p1 := piece.Start + pick.Intn(piece.End-piece.Start+1)
+				p2 := p1 + pick.Intn(piece.End-p1+1)
+				next := viaCursor.InsertAt(at, low, p1)
+				viaInsert.Insert(low, p1)
+				if three {
+					viaCursor.InsertAt(next, high, p2)
+					viaInsert.Insert(high, p2)
+				}
+				if got, want := viaCursor.Boundaries(), viaInsert.Boundaries(); !slices.Equal(got, want) {
+					t.Fatalf("capacity %d seed %d step %d: boundaries %v, want %v", capacity, seed, step, got, want)
+				}
+				if got, want := viaCursor.NumPieces(nB), viaInsert.NumPieces(nA); got != want {
+					t.Fatalf("capacity %d seed %d step %d: NumPieces %d, want %d", capacity, seed, step, got, want)
+				}
+				if got, want := changeState(viaCursor), changeState(viaInsert); got != want {
+					t.Fatalf("capacity %d seed %d step %d: change record\n%s\nwant\n%s", capacity, seed, step, got, want)
+				}
+				if err := viaCursor.Validate(nB); err != nil {
+					t.Fatalf("capacity %d seed %d step %d: %v", capacity, seed, step, err)
+				}
+			}
+		}
+	}
+}
+
+// A cursor that a mutation has moved off its bound's slot is refused,
+// never used to misplace the bound.
+func TestInsertAtRefusesStaleCursor(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: InsertAt accepted a stale cursor", name)
+			}
+		}()
+		f()
+	}
+	ix := &Index{chunkCap: 4}
+	for v := 0; v < 20; v += 2 {
+		ix.Insert(Bound{Value: column.Value(v)}, v)
+	}
+	_, at, _ := ix.PieceFor(Bound{Value: 7}, 20)
+	ix.Insert(Bound{Value: 5}, 5) // takes the slot 7 was found missing at
+	mustPanic("slot taken by a smaller bound", func() { ix.InsertAt(at, Bound{Value: 7}, 7) })
+
+	_, at, _ = ix.PieceFor(Bound{Value: 9}, 20)
+	ix.Insert(Bound{Value: 9}, 9)
+	mustPanic("bound recorded since", func() { ix.InsertAt(at, Bound{Value: 9}, 9) })
+
+	_, at, _ = ix.PieceFor(Bound{Value: 99}, 20)
+	ix.Clear()
+	mustPanic("index cleared", func() { ix.InsertAt(at, Bound{Value: 99}, 20) })
+	if err := ix.Validate(20); err != nil || ix.Len() != 0 {
+		t.Fatalf("refused inserts changed the index: %d boundaries, %v", ix.Len(), err)
+	}
+}
+
+// BenchmarkPieceForConverged looks up bounds in an index of ~1M
+// boundaries inserted in random order — the size a converged column's
+// catalog reaches — half of them recorded bounds, half missing ones.
+func BenchmarkPieceForConverged(b *testing.B) {
+	const boundaries = 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	ix := New()
+	for _, i := range rng.Perm(boundaries) {
+		ix.Insert(Bound{Value: column.Value(2 * i)}, 4*i)
+	}
+	probes := make([]Bound, 1<<16)
+	for i := range probes {
+		probes[i] = Bound{Value: column.Value(rng.Intn(2 * boundaries))}
+	}
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		if _, _, exact := ix.PieceFor(probes[i&(len(probes)-1)], 4*boundaries); exact {
+			hits++
+		}
+	}
+	if b.N >= len(probes) && hits == 0 {
+		b.Fatal("no probe hit a recorded bound")
 	}
 }

@@ -3,6 +3,7 @@ package crackeridx
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"adaptiveindex/internal/column"
@@ -56,18 +57,31 @@ func window(ix *Index, b Bound, n int, atB bool) (lo, hi int) {
 }
 
 // pieceOp applies one random mutation to ix over a column of *n rows
-// and returns its description. Every op keeps the index valid —
-// positions non-decreasing in bound order, within [0, *n] — the way
-// the cracking, ripple and hybrid callers do, adjusting *n where the
-// op models a row arriving or leaving.
-func pieceOp(ix *Index, n *int, src intSource) string {
+// and returns its description and the bound it drew. Every op keeps the
+// index valid — positions non-decreasing in bound order, within
+// [0, *n] — the way the cracking, ripple and hybrid callers do,
+// adjusting *n where the op models a row arriving or leaving.
+func pieceOp(ix *Index, n *int, src intSource) (string, Bound) {
 	b := Bound{Value: column.Value(src.Intn(genValues)), Inclusive: src.Intn(2) == 0}
-	switch op := src.Intn(16); {
-	case op < 6: // a crack: a new bound, or an existing one overwritten
+	return applyOp(ix, n, src, b), b
+}
+
+// applyOp is pieceOp's mutation on the drawn bound b.
+func applyOp(ix *Index, n *int, src intSource, b Bound) string {
+	switch op := src.Intn(19); {
+	case op < 3: // a restore, or an existing bound overwritten
 		lo, hi := window(ix, b, *n, false)
 		pos := lo + src.Intn(hi-lo+1)
 		ix.Insert(b, pos)
 		return fmt.Sprintf("Insert(%s, %d)", b, pos)
+	case op < 6: // a crack, recorded where PieceFor found it missing
+		piece, at, exact := ix.PieceFor(b, *n)
+		if exact {
+			return "no-op"
+		}
+		pos := piece.Start + src.Intn(piece.End-piece.Start+1)
+		ix.InsertAt(at, b, pos)
+		return fmt.Sprintf("InsertAt(%v, %s, %d)", at, b, pos)
 	case op < 8:
 		ix.Delete(b)
 		return fmt.Sprintf("Delete(%s)", b)
@@ -106,13 +120,95 @@ func pieceOp(ix *Index, n *int, src intSource) string {
 	case op == 15:
 		ix.Clear()
 		return "Clear()"
+	case op == 16:
+		*ix = *ix.Clone()
+		return "Clone()"
+	default: // a crack in three: b and a larger bound missing from one piece
+		hi := Bound{Value: b.Value + column.Value(src.Intn(2)), Inclusive: true}
+		pieceLow, atLow, exactLow := ix.PieceFor(b, *n)
+		_, atHigh, exactHigh := ix.PieceFor(hi, *n)
+		if exactLow || exactHigh || atLow != atHigh || b == hi {
+			return "no-op"
+		}
+		p1 := pieceLow.Start + src.Intn(pieceLow.End-pieceLow.Start+1)
+		p2 := p1 + src.Intn(pieceLow.End-p1+1)
+		ix.InsertAt(ix.InsertAt(atLow, b, p1), hi, p2)
+		return fmt.Sprintf("InsertAt(%v, %s, %d) then %s at %d", atLow, b, p1, hi, p2)
 	}
 	return "no-op"
 }
 
+// rankAt returns the rank in bound order of the slot at cursor (ci, j),
+// counted over the chunks themselves rather than the directory.
+func rankAt(ix *Index, ci, j int) int {
+	k := j
+	for _, c := range ix.Chunks()[:ci] {
+		k += c.Len()
+	}
+	return k
+}
+
+// checkSearch compares PieceFor(b), Lookup(b) and FirstLeftOf(b.Value)
+// on a column of n rows against linear scans of ref, the boundaries the
+// index should hold in bound order: the piece, the cursor's rank, the
+// position and FirstLeftOf's cursor and rank.
+func checkSearch(ix *Index, ref []Boundary, n int, b Bound) error {
+	k := 0
+	for k < len(ref) && ref[k].Bound.Compare(b) < 0 {
+		k++
+	}
+	found := k < len(ref) && ref[k].Bound == b
+	want := Piece{Start: 0, End: n}
+	switch {
+	case found:
+		want = Piece{Start: ref[k].Pos, End: ref[k].Pos}
+	default:
+		if k > 0 {
+			want.Start, want.Lower, want.HasLower = ref[k-1].Pos, ref[k-1].Bound, true
+		}
+		if k < len(ref) {
+			want.End, want.Upper, want.HasUpper = ref[k].Pos, ref[k].Bound, true
+		}
+	}
+	piece, at, exact := ix.PieceFor(b, n)
+	if exact != found || piece != want || rankAt(ix, at.ci, at.j) != k {
+		return fmt.Errorf("PieceFor(%s) = %+v at %v (rank %d), exact %v; want %+v at rank %d, exact %v",
+			b, piece, at, rankAt(ix, at.ci, at.j), exact, want, k, found)
+	}
+	if pos, ok := ix.Lookup(b); ok != found || (found && pos != ref[k].Pos) {
+		return fmt.Errorf("Lookup(%s) = %d, %v; want found %v", b, pos, ok, found)
+	}
+	left := 0
+	for left < len(ref) && !ref[left].Bound.IsLeft(b.Value) {
+		left++
+	}
+	if ci, j, rank := ix.FirstLeftOf(b.Value); rank != left || rankAt(ix, ci, j) != left {
+		return fmt.Errorf("FirstLeftOf(%d) = cursor (%d, %d) at rank %d, rank %d; want rank %d",
+			b.Value, ci, j, rankAt(ix, ci, j), rank, left)
+	}
+	return nil
+}
+
+// allProbes is every bound the generator can draw, and one past each
+// end.
+var allProbes = func() []Bound {
+	var probes []Bound
+	for v := column.Value(-1); v <= genValues; v++ {
+		probes = append(probes, Bound{Value: v}, Bound{Value: v, Inclusive: true})
+	}
+	return probes
+}()
+
+// nearProbes is b, the bound on b's value of the other kind, and the
+// next value's exclusive bound.
+func nearProbes(b Bound) []Bound {
+	return []Bound{b, {Value: b.Value, Inclusive: !b.Inclusive}, {Value: b.Value + 1}}
+}
+
 // checkPieceCount fails t unless the maintained count equals the
-// materialised one and the generator kept the index valid.
-func checkPieceCount(t testing.TB, ix *Index, n, step int, op string) {
+// materialised one, the generator kept the index valid, and each probe
+// is found where a linear scan of the boundaries finds it.
+func checkPieceCount(t testing.TB, ix *Index, n, step int, op string, probes []Bound) {
 	t.Helper()
 	if got, want := ix.NumPieces(n), len(ix.Pieces(n)); got != want {
 		t.Fatalf("step %d %s (n=%d, boundaries %v): NumPieces = %d, len(Pieces) = %d",
@@ -120,6 +216,12 @@ func checkPieceCount(t testing.TB, ix *Index, n, step int, op string) {
 	}
 	if err := ix.Validate(n); err != nil {
 		t.Fatalf("step %d %s (n=%d): %v", step, op, n, err)
+	}
+	ref := ix.Boundaries()
+	for _, b := range probes {
+		if err := checkSearch(ix, ref, n, b); err != nil {
+			t.Fatalf("step %d %s (n=%d, boundaries %v): %v", step, op, n, ref, err)
+		}
 	}
 }
 
@@ -153,15 +255,21 @@ func TestNumPiecesEdgeCases(t *testing.T) {
 
 func TestPieceCountMatchesPiecesUnderRandomOps(t *testing.T) {
 	for _, capacity := range genCaps {
-		var emptyColumn, zeroLength, multiChunk, emptied int
+		var emptyColumn, zeroLength, multiChunk, emptied, cursorCracks, crackThree int
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			ix := &Index{chunkCap: capacity}
 			n := rng.Intn(4)
 			for step := 0; step < 2000; step++ {
 				chunks := len(ix.chunks)
-				op := pieceOp(ix, &n, rng)
-				checkPieceCount(t, ix, n, step, op)
+				op, _ := pieceOp(ix, &n, rng)
+				checkPieceCount(t, ix, n, step, op, allProbes)
+				if strings.HasPrefix(op, "InsertAt") && ix.Len() > 1 {
+					cursorCracks++
+				}
+				if strings.Contains(op, " then ") {
+					crackThree++
+				}
 				if n == 0 && ix.Len() > 0 {
 					emptyColumn++
 				}
@@ -177,9 +285,10 @@ func TestPieceCountMatchesPiecesUnderRandomOps(t *testing.T) {
 			}
 		}
 		// The generator must actually reach the edge cases it exists for.
-		if emptyColumn == 0 || zeroLength == 0 || (capacity > 0 && (multiChunk == 0 || emptied == 0)) {
-			t.Fatalf("capacity %d, generator coverage: %d steps on an empty column with boundaries, %d with zero-length pieces, %d with several chunks, %d emptying a chunk",
-				capacity, emptyColumn, zeroLength, multiChunk, emptied)
+		if emptyColumn == 0 || zeroLength == 0 || cursorCracks == 0 || crackThree == 0 ||
+			(capacity > 0 && (multiChunk == 0 || emptied == 0)) {
+			t.Fatalf("capacity %d, generator coverage: %d steps on an empty column with boundaries, %d with zero-length pieces, %d with several chunks, %d emptying a chunk, %d cursor cracks, %d cracks in three",
+				capacity, emptyColumn, zeroLength, multiChunk, emptied, cursorCracks, crackThree)
 		}
 	}
 }
@@ -196,8 +305,8 @@ func FuzzPieceCount(f *testing.F) {
 			ix := &Index{chunkCap: capacity}
 			n := src.Intn(genMaxRows + 1)
 			for step := 0; len(src) > 0; step++ {
-				op := pieceOp(ix, &n, &src)
-				checkPieceCount(t, ix, n, step, op)
+				op, b := pieceOp(ix, &n, &src)
+				checkPieceCount(t, ix, n, step, op, nearProbes(b))
 			}
 		}
 	})

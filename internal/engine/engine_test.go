@@ -243,7 +243,7 @@ func TestConvergedSidewaysRunAllocations(t *testing.T) {
 		name string
 		q    Query
 		max  float64
-	}{{"select", sel, 7}, {"count", cnt, 2}} {
+	}{{"select", sel, 5}, {"count", cnt, 1}} {
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := eng.Run(tc.q); err != nil {
 				t.Fatal(err)

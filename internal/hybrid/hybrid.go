@@ -430,12 +430,18 @@ func (p *crackPartition) contents() column.Pairs { return p.pairs }
 func (p *crackPartition) validate() error        { return p.idx.Validate(len(p.pairs)) }
 
 func (p *crackPartition) establish(b crackeridx.Bound) int {
-	piece, pos, exact := p.idx.PieceFor(b, len(p.pairs))
+	piece, at, exact := p.idx.PieceFor(b, len(p.pairs))
+	return p.establishAt(b, piece, at, exact)
+}
+
+// establishAt finishes establish from PieceFor's answer for b, recording
+// the crack at the cursor found.
+func (p *crackPartition) establishAt(b crackeridx.Bound, piece crackeridx.Piece, at crackeridx.Cursor, exact bool) int {
 	if exact {
-		return pos
+		return piece.Start
 	}
-	pos = core.CrackInTwo(p.pairs, piece.Start, piece.End, b, p.c)
-	p.idx.Insert(b, pos)
+	pos := core.CrackInTwo(p.pairs, piece.Start, piece.End, b, p.c)
+	p.idx.InsertAt(at, b, pos)
 	return pos
 }
 
@@ -447,16 +453,21 @@ func (p *crackPartition) extract(pred column.Range) column.Pairs {
 	switch {
 	case pred.HasLow && pred.HasHigh:
 		bLow, bHigh := core.LowerBound(pred), core.UpperBound(pred)
-		pieceLow, _, exactLow := p.idx.PieceFor(bLow, len(p.pairs))
-		pieceHigh, _, exactHigh := p.idx.PieceFor(bHigh, len(p.pairs))
-		if !exactLow && !exactHigh && pieceLow == pieceHigh && bLow.Compare(bHigh) < 0 {
+		pieceLow, atLow, exactLow := p.idx.PieceFor(bLow, len(p.pairs))
+		pieceHigh, atHigh, exactHigh := p.idx.PieceFor(bHigh, len(p.pairs))
+		switch {
+		case !exactLow && !exactHigh && atLow == atHigh && bLow.Compare(bHigh) < 0:
 			// Both bounds land in the same untouched piece: one-pass
 			// crack-in-three, the cheapest possible preparation.
 			start, end = core.CrackInThree(p.pairs, pieceLow.Start, pieceLow.End, bLow, bHigh, p.c)
-			p.idx.Insert(bLow, start)
-			p.idx.Insert(bHigh, end)
-		} else {
-			start = p.establish(bLow)
+			p.idx.InsertAt(p.idx.InsertAt(atLow, bLow, start), bHigh, end)
+		case exactLow || exactHigh:
+			// At most one bound is missing, and recording it moves no
+			// boundary: the other answer still holds.
+			start = p.establishAt(bLow, pieceLow, atLow, exactLow)
+			end = p.establishAt(bHigh, pieceHigh, atHigh, exactHigh)
+		default:
+			start = p.establishAt(bLow, pieceLow, atLow, exactLow)
 			end = p.establish(bHigh)
 		}
 	case pred.HasLow:

@@ -324,14 +324,14 @@ func (m *crackerMap) crack(lo, hi int, b crackeridx.Bound) int {
 // cracking the piece that holds it when the map's index does not have
 // it yet — one index walk either way. It reports whether it cracked.
 func (ms *MapSet) establish(m *crackerMap, b crackeridx.Bound) (int, bool) {
-	piece, pos, exact := m.idx.PieceFor(b, len(m.heads))
+	piece, at, exact := m.idx.PieceFor(b, len(m.heads))
 	if exact {
-		return pos, false
+		return piece.Start, false
 	}
 	before := m.cracked
-	pos = m.crack(piece.Start, piece.End, b)
+	pos := m.crack(piece.Start, piece.End, b)
 	ms.c.Add(m.cracked.Sub(before))
-	m.idx.Insert(b, pos)
+	m.idx.InsertAt(at, b, pos)
 	return pos, true
 }
 
@@ -440,9 +440,7 @@ func (ms *MapSet) SelectProject(r column.Range, attr string) (Projection, error)
 	if err != nil {
 		return Projection{}, err
 	}
-	out := Projection{Rows: make(column.IDList, end-start), Values: make([]column.Value, end-start)}
-	copy(out.Rows, m.rows[start:end])
-	copy(out.Values, vals[start:end])
+	out := Projection{Rows: copyOf(m.rows[start:end]), Values: copyOf(vals[start:end])}
 	ms.c.TuplesCopied += uint64(end - start)
 	ms.c.ValuesTouched += uint64(end - start)
 	return out, nil
@@ -463,14 +461,11 @@ func (ms *MapSet) SelectProjectMulti(r column.Range, attrs []string) (column.IDL
 			return nil, nil, err
 		}
 		if i == 0 {
-			rows = make(column.IDList, end-start)
-			copy(rows, m.rows[start:end])
+			rows = copyOf(m.rows[start:end])
 		} else if end-start != len(rows) {
 			return nil, nil, fmt.Errorf("sideways: maps disagree on result size (%d vs %d)", end-start, len(rows))
 		}
-		out := make([]column.Value, end-start)
-		copy(out, vals[start:end])
-		values[attr] = out
+		values[attr] = copyOf(vals[start:end])
 		ms.c.TuplesCopied += uint64(end - start)
 		ms.c.ValuesTouched += uint64(end - start)
 	}
@@ -501,12 +496,16 @@ func (ms *MapSet) SelectRows(r column.Range) (column.IDList, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make(column.IDList, end-start)
-	copy(rows, m.rows[start:end])
+	rows := copyOf(m.rows[start:end])
 	ms.c.TuplesCopied += uint64(end - start)
 	ms.c.ValuesTouched += uint64(end - start)
 	return rows, nil
 }
+
+// copyOf returns a copy of s in a fresh array that is written once:
+// appending to an empty slice skips the zeroing make does before a
+// copy. An empty s still gives a non-nil result (JSON [], not null).
+func copyOf[S ~[]E, E any](s S) S { return append(S{}, s...) }
 
 // CountRows answers a pure count on the head attribute without
 // materialising anything: after alignment and cracking, the qualifying

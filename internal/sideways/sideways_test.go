@@ -282,6 +282,41 @@ func TestSelectRows(t *testing.T) {
 	}
 }
 
+// An empty answer is an empty, non-nil slice (JSON [], not null), also
+// from a map set over no rows.
+func TestEmptyResultsAreNotNil(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 300} {
+		ms := newSet(t, makeTable(rng, n, 100), DefaultOptions())
+		for _, r := range []column.Range{column.NewRange(40, 40), column.LessThan(-5), column.AtLeast(1000)} {
+			proj, err := ms.SelectProject(r, "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, values, err := ms.SelectProjectMulti(r, []string{"c", "a"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel, err := ms.SelectRows(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, empty := range map[string]bool{
+				"SelectProject rows":      proj.Rows != nil && len(proj.Rows) == 0,
+				"SelectProject values":    proj.Values != nil && len(proj.Values) == 0,
+				"SelectProjectMulti rows": rows != nil && len(rows) == 0,
+				"SelectProjectMulti c":    values["c"] != nil && len(values["c"]) == 0,
+				"SelectProjectMulti a":    values["a"] != nil && len(values["a"]) == 0,
+				"SelectRows":              sel != nil && len(sel) == 0,
+			} {
+				if !empty {
+					t.Errorf("n=%d range %s: %s is not an empty non-nil slice", n, r, name)
+				}
+			}
+		}
+	}
+}
+
 func TestAlignmentCatchesUpLazily(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tab := makeTable(rng, 1000, 200)
@@ -474,11 +509,11 @@ func (rs *refSet) mapFor(attr string) *refMap {
 }
 
 func (rs *refSet) crack(m *refMap, b crackeridx.Bound) int {
-	piece, pos, exact := m.idx.PieceFor(b, len(m.entries))
+	piece, _, exact := m.idx.PieceFor(b, len(m.entries))
 	if exact {
-		return pos
+		return piece.Start
 	}
-	pos = refCrackMap(m.entries, piece.Start, piece.End, b, &rs.c)
+	pos := refCrackMap(m.entries, piece.Start, piece.End, b, &rs.c)
 	m.idx.Insert(b, pos)
 	return pos
 }
