@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/server"
 	"adaptiveindex/internal/workload"
 )
@@ -180,7 +181,7 @@ func TestMixedWritesOverTheWire(t *testing.T) {
 	if ws := st.WriteState; ws.Inserts == 0 || ws.Inserts <= ws.Deletes {
 		t.Fatalf("write state looks wrong: %+v", ws)
 	}
-	var data server.TableStats
+	var data api.TableStats
 	for _, tab := range st.Tables {
 		if tab.Table == "data" {
 			data = tab

@@ -278,7 +278,7 @@ func serve(ctx context.Context, cfg config, ln net.Listener, out io.Writer) erro
 	}
 	policies := make(map[string]string)
 	for _, ti := range built.Exec.Tables() {
-		policies[ti.Name] = ti.MergePolicy
+		policies[ti.Table] = ti.MergePolicy
 	}
 	var tables []string
 	for _, spec := range specs {

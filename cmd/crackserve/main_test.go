@@ -18,7 +18,6 @@ import (
 
 	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/engine"
-	"adaptiveindex/internal/server"
 	"adaptiveindex/internal/trace"
 )
 
@@ -73,14 +72,14 @@ func startServe(t *testing.T, cfg config) (string, context.CancelFunc, chan erro
 	}
 }
 
-func getStats(t *testing.T, url string) server.Stats {
+func getStats(t *testing.T, url string) api.Stats {
 	t.Helper()
 	resp, err := http.Get(url + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st server.Stats
+	var st api.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

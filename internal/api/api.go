@@ -1,14 +1,13 @@
-// Package api is the shared wire contract of the crack service: the
-// JSON request/response shapes spoken on /query, /update, /stats,
-// /healthz and /fingerprint, an explicit schema version, and the typed
-// client every in-repo HTTP consumer uses.
+// Package api is the front-end contract of the crack service: the JSON
+// request/response shapes spoken on /query, /update, /stats, /healthz
+// and /fingerprint, an explicit schema version, the /stats types the
+// engine fills, the row-stripe arithmetic, the reply writers, and the
+// typed client every in-repo HTTP consumer uses.
 //
-// The shapes used to live as private structs in internal/server's HTTP
-// layer, re-declared ad hoc by crackload; a third consumer — the
-// multi-node router — made that untenable. They live here now, consumed
-// by the server, by crackload, and by internal/router, so there is
-// exactly one definition of the wire surface and exactly one
-// HTTP-consumer code path (Client).
+// The crackserve node, the multi-node router and crackload all speak
+// through it: one definition of the wire surface, one way to put a
+// reply on it (reply.go), one HTTP-consumer code path (Client). It
+// links no engine code, so neither the router nor crackload does.
 //
 // Versioning: every request may carry "v"; absent means v1. Servers
 // reject unknown versions and unknown fields with a clear error naming
@@ -24,7 +23,6 @@ import (
 	"strconv"
 
 	"adaptiveindex/internal/column"
-	"adaptiveindex/internal/engine"
 )
 
 // SchemaVersion is the wire schema this package speaks. Requests carry
@@ -201,6 +199,14 @@ type UpdateResponse struct {
 	LatencyUs int64 `json:"latency_us"`
 }
 
+// UpdateErrorResponse is the wire form of a failed write: ops apply in
+// order, so it carries the prefix applied before the failure.
+type UpdateErrorResponse struct {
+	ErrorResponse
+	Inserted []column.RowID `json:"inserted,omitempty"`
+	Deleted  int            `json:"deleted"`
+}
+
 // WriteOp is one resolved mutation: an insert of whole rows or a
 // delete of row identifiers against one table.
 type WriteOp struct {
@@ -298,169 +304,4 @@ func CatalogFingerprint(tables []TableStats) string {
 		h.Write([]byte{0xff})
 	}
 	return strconv.FormatUint(h.Sum64(), 16)
-}
-
-// TableStats describes one catalog table. Rows counts row slots
-// (tombstones included — it is one past the largest row identifier);
-// LiveRows counts live tuples. MergePolicy names when buffered writes
-// merge into the table's cracked columns.
-type TableStats struct {
-	Table       string   `json:"table"`
-	Rows        int      `json:"rows"`
-	LiveRows    int      `json:"live_rows"`
-	Columns     []string `json:"columns"`
-	MergePolicy string   `json:"merge_policy"`
-}
-
-// LatencyStats summarises a latency distribution, in microseconds.
-type LatencyStats struct {
-	Count   uint64 `json:"count"`
-	MeanUs  uint64 `json:"mean_us"`
-	P50Us   uint64 `json:"p50_us"`
-	P95Us   uint64 `json:"p95_us"`
-	P99Us   uint64 `json:"p99_us"`
-	MaxUs   uint64 `json:"max_us"`
-	TotalUs uint64 `json:"total_us"`
-}
-
-// PhaseStats is the latency summary of one execution phase, aggregated
-// over traced queries.
-type PhaseStats struct {
-	Phase   string       `json:"phase"`
-	Latency LatencyStats `json:"latency"`
-}
-
-// ProcessStats is process-level health: scheduler pressure and memory
-// behaviour that no query counter exposes.
-type ProcessStats struct {
-	Goroutines     int    `json:"goroutines"`
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	GCPauseTotalUs uint64 `json:"gc_pause_total_us"`
-	NumGC          uint32 `json:"num_gc"`
-	// SnapshotAgeSeconds is how old the restored snapshot is (zero when
-	// the engine started cold) — a proxy for how much adaptive
-	// convergence was inherited rather than earned by this process.
-	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds,omitempty"`
-}
-
-// EventLogStats describes the reorganisation event ring served at
-// /debug/events. LastSeq is also the total number of events ever
-// appended, so its rate is the reorganisation rate.
-type EventLogStats struct {
-	LastSeq  uint64 `json:"last_seq"`
-	Capacity int    `json:"capacity"`
-}
-
-// NodeStats is one backend's row in a router's cluster /stats view.
-type NodeStats struct {
-	Node        int    `json:"node"`
-	Addr        string `json:"addr"`
-	State       string `json:"state"`
-	Queries     uint64 `json:"queries"`
-	Errors      uint64 `json:"errors"`
-	WorkTotal   uint64 `json:"work_total"`
-	Rows        int    `json:"rows"`
-	LiveRows    int    `json:"live_rows"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-}
-
-// Stats is the service's observable state, served by /stats. A
-// crackserve node reports its own engine; a crackrouter reports the
-// merged cluster view in the same shape (tables, structures, work and
-// write state summed across stripes) plus a per-node breakdown in
-// Nodes, so /stats consumers work unchanged against either.
-type Stats struct {
-	// Tables lists the hosted catalog; Structures counts the adaptive
-	// structures (and cracked pieces) the workload has built so far;
-	// Planner is the per-column PathAuto state; WorkTotal is the
-	// engine's cumulative logical work.
-	Tables     []TableStats          `json:"tables"`
-	Structures engine.StructureStats `json:"structures"`
-	Planner    []engine.PlanStats    `json:"planner"`
-	WorkTotal  uint64                `json:"work_total"`
-
-	// WriteState is the engine's write-path state: applied and merged
-	// update counts plus the current pending-buffer depth.
-	WriteState engine.WriteStats `json:"write_state"`
-
-	// DefaultTable, DefaultColumn and DefaultPath echo what queries get
-	// when they omit the fields.
-	DefaultTable  string `json:"default_table"`
-	DefaultColumn string `json:"default_column"`
-	DefaultPath   string `json:"default_path"`
-
-	// Mode is "batched", "direct", or "router"; BatchWindowUs and
-	// MaxBatch echo the scheduler configuration.
-	Mode          string `json:"mode"`
-	BatchWindowUs int64  `json:"batch_window_us"`
-	MaxBatch      int    `json:"max_batch"`
-
-	// Queries is the number of answered queries; Writes the number of
-	// applied write requests; Rejected counts admissions refused at the
-	// in-flight limit.
-	Queries  uint64 `json:"queries"`
-	Writes   uint64 `json:"writes"`
-	Rejected uint64 `json:"rejected"`
-	// Batches is the number of executed batches; SharedScans counts
-	// queries answered by an execution shared with an identical query
-	// in the same batch; MaxBatchSeen is the largest batch executed so
-	// far.
-	Batches      uint64 `json:"batches"`
-	SharedScans  uint64 `json:"shared_scans"`
-	MaxBatchSeen int64  `json:"max_batch_seen"`
-	// EncodeFailures counts responses (JSON or binary) whose encode or
-	// write back to the client failed; those clients saw a truncated or
-	// empty body, not the result.
-	EncodeFailures uint64 `json:"encode_failures"`
-
-	// InFlight and MaxInFlight describe the admission state.
-	InFlight    int64 `json:"in_flight"`
-	MaxInFlight int   `json:"max_in_flight"`
-
-	Latency LatencyStats `json:"latency"`
-
-	// TracedQueries counts queries that asked for span tracing; Phases
-	// aggregates their per-phase durations (phases never observed are
-	// omitted).
-	TracedQueries uint64       `json:"traced_queries"`
-	Phases        []PhaseStats `json:"phases,omitempty"`
-
-	// Shards is the number of engine shards answering each query (1 for
-	// a single-engine service); ShardStats breaks the adaptive state
-	// down per shard when the service fronts a cluster.
-	Shards     int                `json:"shards"`
-	ShardStats []engine.ShardStat `json:"shard_stats,omitempty"`
-
-	// Readers is the epoch read concurrency (0 or 1: every query on the
-	// serialised executor); Reorg describes the epoch read machinery
-	// when Readers > 1.
-	Readers int         `json:"readers"`
-	Reorg   *ReorgStats `json:"reorg,omitempty"`
-
-	// Nodes breaks a router's cluster view down per backend node;
-	// absent on a crackserve node's own stats.
-	Nodes []NodeStats `json:"nodes,omitempty"`
-
-	Process  ProcessStats  `json:"process"`
-	EventLog EventLogStats `json:"event_log"`
-
-	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
-// ReorgStats describes the epoch read machinery behind Readers > 1:
-// the epoch lifecycle counters, the crack-intent queue, and the
-// reorganiser's lag behind the readers.
-type ReorgStats struct {
-	// Epoch is the executor's epoch lifecycle state (publications,
-	// retirements, applied intents, epoch reads and their summed work).
-	Epoch engine.EpochStats `json:"epoch"`
-	// Backlog is the current depth of the crack-intent queue;
-	// IntentsQueued and IntentsDropped count enqueues and queue-full
-	// drops over the service's lifetime.
-	Backlog        int    `json:"backlog"`
-	IntentsQueued  uint64 `json:"intents_queued"`
-	IntentsDropped uint64 `json:"intents_dropped"`
-	// LagUs is the queue delay of the most recently applied intent, in
-	// microseconds — how far the reorganiser runs behind the readers.
-	LagUs uint64 `json:"lag_us"`
 }

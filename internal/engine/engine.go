@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/core"
 	"adaptiveindex/internal/cost"
@@ -359,7 +360,7 @@ type Engine struct {
 	// stream the rebuild is re-paid, not amortised.
 	staleSideways map[TableColumn]bool
 
-	writes WriteCounters
+	writes api.WriteCounters
 	c      cost.Counters
 
 	// rec is the span recorder of the query currently executing (nil
@@ -887,27 +888,32 @@ func (e *Engine) emitReorgEvents(tc TableColumn, path AccessPath, piecesBefore i
 	}
 }
 
-// StructureStats summarises the adaptive structures the engine has
-// built so far.
-type StructureStats struct {
-	// Crackers and MapSets count the per-column structures of each
-	// kind.
-	Crackers int `json:"crackers"`
-	MapSets  int `json:"map_sets"`
-	// CrackerPieces and MapPieces break the cracked pieces down by
-	// structure kind; Pieces is their total.
-	CrackerPieces int `json:"cracker_pieces"`
-	MapPieces     int `json:"map_pieces"`
-	Pieces        int `json:"pieces"`
-	// MapHistory is the crack history the map sets still keep: bounds
-	// some materialised map has not applied yet (0 while every set has
-	// a single map).
-	MapHistory int `json:"map_history"`
+// Tables summarises every catalog table, sorted by name: row slots
+// (tombstones included), live tuples, column names in schema order,
+// and the merge policy its buffered writes drain under.
+func (e *Engine) Tables() []api.TableStats {
+	names := e.cat.Tables()
+	sort.Strings(names)
+	infos := make([]api.TableStats, 0, len(names))
+	for _, name := range names {
+		t, err := e.cat.Table(name)
+		if err != nil {
+			continue
+		}
+		infos = append(infos, api.TableStats{
+			Table:       name,
+			Rows:        t.NumRows(),
+			LiveRows:    t.LiveRows(),
+			Columns:     t.Columns(),
+			MergePolicy: e.MergePolicyFor(name).String(),
+		})
+	}
+	return infos
 }
 
 // Structures reports the engine's adaptive-structure inventory.
-func (e *Engine) Structures() StructureStats {
-	s := StructureStats{
+func (e *Engine) Structures() api.StructureStats {
+	s := api.StructureStats{
 		Crackers: len(e.crackers),
 		MapSets:  len(e.mapsets),
 	}

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/core"
 	"adaptiveindex/internal/cost"
@@ -133,26 +134,6 @@ type EpochInfo struct {
 	Seq        uint64
 	NeedsReorg bool
 	Release    func()
-}
-
-// EpochStats is a point-in-time summary of the epoch machinery.
-type EpochStats struct {
-	// Seq is the current epoch's sequence number (0 before the first
-	// publication).
-	Seq uint64 `json:"seq"`
-	// Published and Retired count epoch lifecycle transitions.
-	Published uint64 `json:"published"`
-	Retired   uint64 `json:"retired"`
-	// IntentsApplied counts reorganiser-applied crack intents.
-	IntentsApplied uint64 `json:"intents_applied"`
-	// Reads counts epoch-pinned reads; ReadWork is their summed
-	// logical work (kept apart from the engine's deterministic
-	// counters).
-	Reads    uint64 `json:"reads"`
-	ReadWork uint64 `json:"read_work"`
-	// Pins is the current epoch's live pin count, publisher reference
-	// included.
-	Pins int64 `json:"pins"`
 }
 
 // epochChanged reports whether any engine state visible to readers
@@ -483,8 +464,8 @@ func (e *Engine) MergePending(all bool) int {
 
 // EpochStats reports the epoch machinery's counters. Safe from any
 // goroutine.
-func (e *Engine) EpochStats() EpochStats {
-	st := EpochStats{
+func (e *Engine) EpochStats() api.EpochStats {
+	st := api.EpochStats{
 		Published:      e.epochPublished.Load(),
 		Retired:        e.epochRetired.Load(),
 		IntentsApplied: e.intentsApplied.Load(),

@@ -52,6 +52,7 @@ import (
 	"sort"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/cost"
 	"adaptiveindex/internal/trace"
 )
@@ -417,34 +418,12 @@ func (p *planner) observeShape(tc TableColumn, candidates []AccessPath, scanCost
 	}
 }
 
-// PlanPathStats is the observable per-path state of one column's
-// planner.
-type PlanPathStats struct {
-	Path    string  `json:"path"`
-	Queries uint64  `json:"queries"`
-	AvgWork float64 `json:"avg_work"`
-	EWMA    float64 `json:"ewma_work"`
-	WallUs  int64   `json:"wall_us"`
-	Probes  int     `json:"probes"`
-}
-
-// PlanStats is the observable planner state for one (table, column).
-type PlanStats struct {
-	Table      string          `json:"table"`
-	Column     string          `json:"column"`
-	Phase      string          `json:"phase"`
-	Chosen     string          `json:"chosen"`
-	Baseline   float64         `json:"baseline_work"`
-	ReExplores int             `json:"re_explores"`
-	Paths      []PlanPathStats `json:"paths"`
-}
-
 // PlanStats returns the planner's per-column state, sorted by table
 // then column, for /stats and reports.
-func (e *Engine) PlanStats() []PlanStats {
-	out := make([]PlanStats, 0, len(e.planner.states))
+func (e *Engine) PlanStats() []api.PlanStats {
+	out := make([]api.PlanStats, 0, len(e.planner.states))
 	for tc, st := range e.planner.states {
-		ps := PlanStats{
+		ps := api.PlanStats{
 			Table:      tc.Table,
 			Column:     tc.Column,
 			Phase:      st.phase.String(),
@@ -457,7 +436,7 @@ func (e *Engine) PlanStats() []PlanStats {
 			if !obs.seen {
 				continue
 			}
-			ps.Paths = append(ps.Paths, PlanPathStats{
+			ps.Paths = append(ps.Paths, api.PlanPathStats{
 				Path:    path.String(),
 				Queries: obs.queries,
 				AvgWork: float64(obs.work) / float64(obs.queries),

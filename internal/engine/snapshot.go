@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/sideways"
 	"adaptiveindex/internal/updates"
@@ -118,7 +119,7 @@ type State struct {
 	Crackers map[TableColumn]CrackerSnap
 	MapSets  map[TableColumn]MapSetSnap
 	Plans    map[TableColumn]PlanSnap
-	Writes   WriteCounters
+	Writes   api.WriteCounters
 }
 
 // Snapshot captures the engine's adaptive state.

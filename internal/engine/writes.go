@@ -25,31 +25,10 @@ package engine
 import (
 	"fmt"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/updates"
 )
-
-// WriteCounters counts the writes an engine has applied.
-type WriteCounters struct {
-	// Inserts and Deletes count applied row operations.
-	Inserts uint64 `json:"inserts"`
-	Deletes uint64 `json:"deletes"`
-	// Invalidations counts sideways map sets dropped by writes.
-	Invalidations uint64 `json:"invalidations"`
-}
-
-// WriteStats is the observable write-path state of the engine.
-type WriteStats struct {
-	WriteCounters
-	// PendingInserts and PendingDeletes are the current buffered depth
-	// summed over every cracked selection column.
-	PendingInserts int `json:"pending_inserts"`
-	PendingDeletes int `json:"pending_deletes"`
-	// MergedInserts and MergedDeletes count updates that have reached
-	// the cracked layouts (immediately applied ones included).
-	MergedInserts uint64 `json:"merged_inserts"`
-	MergedDeletes uint64 `json:"merged_deletes"`
-}
 
 // SetMergePolicy sets the default merge policy for every table without
 // an explicit override, updating existing cracked columns. It should
@@ -157,8 +136,8 @@ func (e *Engine) invalidateDerived(t *Table) {
 }
 
 // WriteStats reports the engine's write-path state.
-func (e *Engine) WriteStats() WriteStats {
-	s := WriteStats{WriteCounters: e.writes}
+func (e *Engine) WriteStats() api.WriteStats {
+	s := api.WriteStats{WriteCounters: e.writes}
 	for _, uc := range e.crackers {
 		s.PendingInserts += uc.PendingInsertions()
 		s.PendingDeletes += uc.PendingDeletions()

@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"adaptiveindex/internal/api"
-	"adaptiveindex/internal/shard"
 	"adaptiveindex/internal/trace"
 )
 
 // gathered is the outcome of one read fan-out.
 type gathered struct {
-	merged  shard.StripeResult
+	merged  api.StripeResult
 	path    string
 	missing []int       // nodes skipped because they were already down
 	failed  []nodeError // nodes believed up whose request failed
@@ -110,17 +109,17 @@ func (r *Router) gather(ctx context.Context, q api.QueryRequest, countOnly bool,
 		return g
 	}
 
-	parts := make([]shard.StripeResult, n)
+	parts := make([]api.StripeResult, n)
 	for i, res := range results {
 		if res == nil {
 			continue // skipped node: its stripe contributes nothing
 		}
-		parts[i] = shard.StripeResult{Count: res.Count, Rows: res.Rows, Columns: res.Columns}
+		parts[i] = api.StripeResult{Count: res.Count, Rows: res.Rows, Columns: res.Columns}
 		if g.path == "" {
 			g.path = res.Path
 		}
 	}
-	g.merged = shard.MergeStriped(parts, q.Project, countOnly)
+	g.merged = api.MergeStriped(parts, q.Project, countOnly)
 	g.missing = sortedInts(g.missing)
 
 	if rec != nil {

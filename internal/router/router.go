@@ -3,16 +3,21 @@
 // crackserve backend nodes, each hosting one row stripe of the same
 // logical catalog, and merges the per-node answers into one.
 //
-// The striping contract is exactly internal/shard's, lifted over the
-// wire: global row g lives on node g mod N at local identifier g div N,
-// appends in global order land at the next local slot of the owning
-// node, and N=1 is the identity — a router over one backend is
-// byte-identical to that backend on every deterministic cost counter.
-// Every read fans out to all nodes (a stripe holds a slice of every
-// value range), counts are summed and ID-lists/projections gathered in
-// node order by shard.MergeStriped; writes route to the single owning
-// node, serialised by the router so the global row space stays densely
-// striped.
+// The striping contract is the in-process shard cluster's, lifted over
+// the wire; both take it from internal/api: global row g lives on node
+// g mod N at local identifier g div N, appends in global order land at
+// the next local slot of the owning node, and N=1 is the identity — a
+// router over one backend is byte-identical to that backend on every
+// deterministic cost counter. Every read fans out to all nodes (a
+// stripe holds a slice of every value range), counts are summed and
+// ID-lists/projections gathered in node order by api.MergeStriped;
+// writes route to the single owning node, serialised by the router so
+// the global row space stays densely striped.
+//
+// The router speaks only the front-end contract: its replies, /stats
+// sums, latency histogram and /metrics exposition come from
+// internal/api and internal/trace, the same code a crackserve node
+// runs, and it links no engine code.
 //
 // Robustness is first-class. Each node is health-probed on an interval
 // and walks an up → degraded → down state machine: a failed probe (or
@@ -39,7 +44,7 @@ import (
 	"time"
 
 	"adaptiveindex/internal/api"
-	"adaptiveindex/internal/server"
+	"adaptiveindex/internal/trace"
 )
 
 // Node states.
@@ -162,7 +167,7 @@ type Router struct {
 	defaultCol   string
 	defaultPath  string
 
-	hist        server.Histogram // client-observed read latency
+	hist        trace.Histogram // client-observed read latency
 	queries     atomic.Uint64
 	writes      atomic.Uint64
 	errs        atomic.Uint64

@@ -21,6 +21,7 @@ import (
 	"adaptiveindex/internal/server"
 	"adaptiveindex/internal/shard"
 	"adaptiveindex/internal/trace"
+	"adaptiveindex/internal/wire"
 )
 
 // testNode hosts one in-process crackserve-equivalent: a server.Service
@@ -646,4 +647,61 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// failingWriter accepts headers but fails every body write, standing
+// in for a client that hung up mid-response.
+type failingWriter struct{ header http.Header }
+
+func (f *failingWriter) Header() http.Header       { return f.header }
+func (f *failingWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("client went away") }
+func (f *failingWriter) WriteHeader(int)           {}
+
+// TestEncodeFailuresAreCounted checks that a reply the client never
+// saw moves crackrouter_encode_failures_total on both encodings.
+func TestEncodeFailuresAreCounted(t *testing.T) {
+	rt, _ := startCluster(t, "data:2000:2", 5, 1, fastCfg())
+	for i, accept := range []string{"application/json", wire.ContentType} {
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"op":"select","low":0,"high":500}`))
+		req.Header.Set("Accept", accept)
+		rt.Handler().ServeHTTP(&failingWriter{header: make(http.Header)}, req)
+		if got := rt.clusterStats().EncodeFailures; got != uint64(i+1) {
+			t.Fatalf("after a failed %s reply: encode_failures = %d, want %d", accept, got, i+1)
+		}
+	}
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "\ncrackrouter_encode_failures_total 2\n") {
+		t.Fatalf("metrics do not count both failures:\n%s", rec.Body.String())
+	}
+}
+
+// TestTracedJSONSpanShape checks that a traced JSON query through a
+// one-node router carries the same span structure as the node's own
+// reply: a trace field whose last child is the wire_encode span. It
+// asserts structure only, never a duration.
+func TestTracedJSONSpanShape(t *testing.T) {
+	rt, nodes := startCluster(t, "data:2000:2", 5, 1, fastCfg())
+	for name, h := range map[string]http.Handler{"node": nodes[0].handler(), "router": rt.Handler()} {
+		rec := httptest.NewRecorder()
+		body := `{"op":"select","low":0,"high":500,"project":["c1"],"trace":true}`
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body.String())
+		}
+		var resp api.QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var root trace.Span
+		if err := json.Unmarshal(resp.Trace, &root); err != nil {
+			t.Fatalf("%s: trace field: %v (%s)", name, err, resp.Trace)
+		}
+		if n := len(root.Spans); n == 0 || root.Spans[n-1].Phase != trace.PhaseEncode {
+			t.Fatalf("%s: last child of the trace is not %s: %s", name, trace.PhaseEncode, resp.Trace)
+		}
+		if resp.Count == 0 || len(resp.Rows) != resp.Count {
+			t.Fatalf("%s: traced reply lost its answer: count %d, %d rows", name, resp.Count, len(resp.Rows))
+		}
+	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
-	"adaptiveindex/internal/shard"
 )
 
 // writeError carries a write failure plus the applied prefix — ops
@@ -62,7 +61,7 @@ func (r *Router) apply(ctx context.Context, ops []api.WriteOp) (api.UpdateRespon
 			g, known := r.nrows[table]
 			owner := 0
 			if known {
-				owner = shard.Owner(g, n)
+				owner = api.Owner(g, n)
 			}
 			// An unknown table routes to node 0, which produces the
 			// canonical 400 for it.
@@ -93,10 +92,10 @@ func (r *Router) apply(ctx context.Context, ops []api.WriteOp) (api.UpdateRespon
 				return out, fail(nd, status,
 					fmt.Sprintf("insert to node %d (%s) failed: %v", nd.id, nd.addr, err))
 			}
-			if len(ur.Inserted) != 1 || ur.Inserted[0] != column.RowID(shard.Local(g, n)) {
+			if len(ur.Inserted) != 1 || ur.Inserted[0] != column.RowID(api.Local(g, n)) {
 				return out, fail(nd, http.StatusInternalServerError,
 					fmt.Sprintf("stripe invariant broken: table %q global row %d landed at local %v on node %d, want %d",
-						table, g, ur.Inserted, nd.id, shard.Local(g, n)))
+						table, g, ur.Inserted, nd.id, api.Local(g, n)))
 			}
 			r.nrows[table] = g + 1
 			sh := nd.shape[table]
@@ -106,7 +105,7 @@ func (r *Router) apply(ctx context.Context, ops []api.WriteOp) (api.UpdateRespon
 			out.Inserted = append(out.Inserted, column.RowID(g))
 		}
 		for _, id := range op.Delete {
-			owner := shard.Owner(int(id), n)
+			owner := api.Owner(int(id), n)
 			nd := r.nodes[owner]
 			if nd.state.Load() == stateDown {
 				return out, fail(nd, http.StatusServiceUnavailable,

@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/cost"
 	"adaptiveindex/internal/engine"
@@ -25,20 +26,20 @@ type Exec interface {
 	InsertRow(table string, vals []column.Value) (column.RowID, error)
 	DeleteRow(table string, row column.RowID) error
 	// Tables summarises the hosted catalog, sorted by table name.
-	Tables() []engine.TableInfo
+	Tables() []api.TableStats
 	// Structures, PlanStats, Cost and WriteStats are the observable
 	// adaptive state behind /stats and /metrics.
-	Structures() engine.StructureStats
-	PlanStats() []engine.PlanStats
+	Structures() api.StructureStats
+	PlanStats() []api.PlanStats
 	Cost() cost.Counters
-	WriteStats() engine.WriteStats
+	WriteStats() api.WriteStats
 	// SetEventLog routes reorganisation events into the service's ring.
 	SetEventLog(l *trace.Log)
 	// Shards is the number of engine shards answering each query (1
 	// for a bare engine); ShardStats breaks the state down per shard
 	// (nil for a bare engine).
 	Shards() int
-	ShardStats() []engine.ShardStat
+	ShardStats() []api.ShardStat
 	// SnapshotTo persists the executor's adaptive state through
 	// internal/persist. Only called on a quiescent executor.
 	SnapshotTo(w io.Writer) error
@@ -55,7 +56,7 @@ type Exec interface {
 	// only); EpochStats reports the epoch machinery's counters (safe
 	// from any goroutine).
 	ApplyIntent(in engine.Intent) error
-	EpochStats() engine.EpochStats
+	EpochStats() api.EpochStats
 	// MergeDue reports whether some cracked column's pending backlog
 	// has reached its batch-merge threshold; MergePending drains those
 	// backlogs (every backlog when all is set) with one batched sweep
@@ -79,14 +80,14 @@ func (x singleExec) DeleteRow(table string, row column.RowID) error {
 	return x.eng.DeleteRow(table, row)
 }
 
-func (x singleExec) Tables() []engine.TableInfo        { return x.eng.Tables() }
-func (x singleExec) Structures() engine.StructureStats { return x.eng.Structures() }
-func (x singleExec) PlanStats() []engine.PlanStats     { return x.eng.PlanStats() }
-func (x singleExec) Cost() cost.Counters               { return x.eng.Cost() }
-func (x singleExec) WriteStats() engine.WriteStats     { return x.eng.WriteStats() }
-func (x singleExec) SetEventLog(l *trace.Log)          { x.eng.SetEventLog(l) }
-func (x singleExec) Shards() int                       { return 1 }
-func (x singleExec) ShardStats() []engine.ShardStat    { return nil }
+func (x singleExec) Tables() []api.TableStats       { return x.eng.Tables() }
+func (x singleExec) Structures() api.StructureStats { return x.eng.Structures() }
+func (x singleExec) PlanStats() []api.PlanStats     { return x.eng.PlanStats() }
+func (x singleExec) Cost() cost.Counters            { return x.eng.Cost() }
+func (x singleExec) WriteStats() api.WriteStats     { return x.eng.WriteStats() }
+func (x singleExec) SetEventLog(l *trace.Log)       { x.eng.SetEventLog(l) }
+func (x singleExec) Shards() int                    { return 1 }
+func (x singleExec) ShardStats() []api.ShardStat    { return nil }
 
 func (x singleExec) SnapshotTo(w io.Writer) error { return persist.SaveEngine(w, x.eng) }
 
@@ -97,6 +98,6 @@ func (x singleExec) EpochRead(q engine.Query) (*engine.Result, engine.EpochInfo,
 }
 
 func (x singleExec) ApplyIntent(in engine.Intent) error { return x.eng.ApplyIntent(in) }
-func (x singleExec) EpochStats() engine.EpochStats      { return x.eng.EpochStats() }
+func (x singleExec) EpochStats() api.EpochStats         { return x.eng.EpochStats() }
 func (x singleExec) MergeDue() bool                     { return x.eng.MergeDue() }
 func (x singleExec) MergePending(all bool) int          { return x.eng.MergePending(all) }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"adaptiveindex/internal/api"
-	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/engine"
 	"adaptiveindex/internal/trace"
 	"adaptiveindex/internal/wire"
@@ -25,7 +23,7 @@ func toQuery(q api.QueryRequest) Query {
 //
 //	POST /query         answer one query (see api.QueryRequest)
 //	POST /update        apply inserts/deletes (see api.UpdateRequest)
-//	GET  /stats         observable service + catalog + planner state (see Stats)
+//	GET  /stats         observable service + catalog + planner state (see api.Stats)
 //	GET  /metrics       Prometheus text exposition of the same counters
 //	GET  /debug/events  reorganisation event log (cursor: ?since=seq)
 //	GET  /healthz       liveness + readiness probe
@@ -34,19 +32,19 @@ func toQuery(q api.QueryRequest) Query {
 // Every route answers the wrong method with 405 and an Allow header.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/query", s.methodGate(http.MethodPost, s.handleQuery))
-	mux.Handle("/update", s.methodGate(http.MethodPost, s.handleUpdate))
-	mux.Handle("/stats", s.methodGate(http.MethodGet, s.handleStats))
-	mux.Handle("/metrics", s.methodGate(http.MethodGet, s.handleMetrics))
-	mux.Handle("/debug/events", s.methodGate(http.MethodGet, s.handleEvents))
-	mux.Handle("/healthz", s.methodGate(http.MethodGet, func(w http.ResponseWriter, _ *http.Request) {
+	mux.Handle("/query", api.MethodGate(http.MethodPost, s.encodeFailed, s.handleQuery))
+	mux.Handle("/update", api.MethodGate(http.MethodPost, s.encodeFailed, s.handleUpdate))
+	mux.Handle("/stats", api.MethodGate(http.MethodGet, s.encodeFailed, s.handleStats))
+	mux.Handle("/metrics", api.MethodGate(http.MethodGet, s.encodeFailed, s.handleMetrics))
+	mux.Handle("/debug/events", api.MethodGate(http.MethodGet, s.encodeFailed, s.handleEvents))
+	mux.Handle("/healthz", api.MethodGate(http.MethodGet, s.encodeFailed, func(w http.ResponseWriter, _ *http.Request) {
 		// A running Service is by definition restored and serving; the
 		// not-ready half of the probe lives in the daemon's boot gate,
 		// which answers 503 {"ok":true,"ready":false} until the engine
 		// is up and swaps this handler in.
 		s.writeJSON(w, http.StatusOK, api.Health{OK: true, Ready: true})
 	}))
-	mux.Handle("/fingerprint", s.methodGate(http.MethodGet, func(w http.ResponseWriter, _ *http.Request) {
+	mux.Handle("/fingerprint", api.MethodGate(http.MethodGet, s.encodeFailed, func(w http.ResponseWriter, _ *http.Request) {
 		// The fingerprint hashes schema + row population, so a router
 		// can verify a restarted node restored the stripe it owned.
 		s.writeJSON(w, http.StatusOK, api.FingerprintResponse{
@@ -54,19 +52,6 @@ func (s *Service) Handler() http.Handler {
 		})
 	}))
 	return mux
-}
-
-// methodGate rejects every method but the given one with 405 and an
-// Allow header, per RFC 9110 §15.5.6.
-func (s *Service) methodGate(method string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			s.writeJSON(w, http.StatusMethodNotAllowed, api.ErrorResponse{Error: method + " required"})
-			return
-		}
-		h(w, r)
-	})
 }
 
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -87,35 +72,12 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// stays applied (see Apply), so the error response must carry
 		// it — a client that loses the assigned row identifiers can
 		// never reconcile its bookkeeping with the server again.
-		s.writeJSON(w, statusFor(err), struct {
-			api.ErrorResponse
-			Inserted []column.RowID `json:"inserted,omitempty"`
-			Deleted  int            `json:"deleted"`
-		}{api.ErrorResponse{Error: err.Error()}, reply.Inserted, reply.Deleted})
+		s.writeJSON(w, statusFor(err), api.UpdateErrorResponse{
+			ErrorResponse: api.ErrorResponse{Error: err.Error()}, Inserted: reply.Inserted, Deleted: reply.Deleted})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, api.UpdateResponse{
-		Inserted:       reply.Inserted,
-		Deleted:        reply.Deleted,
-		PendingInserts: reply.PendingInserts,
-		PendingDeletes: reply.PendingDeletes,
-		LatencyUs:      time.Since(start).Microseconds(),
-	})
-}
-
-// wantTrace reports whether the request asked for a phase span tree:
-// "trace":true in the body, or an X-Crack-Trace header (any value but
-// "0" and "false").
-func wantTrace(q api.QueryRequest, r *http.Request) bool {
-	if q.Trace {
-		return true
-	}
-	switch v := r.Header.Get("X-Crack-Trace"); v {
-	case "", "0", "false":
-		return false
-	default:
-		return true
-	}
+	reply.LatencyUs = time.Since(start).Microseconds()
+	s.writeJSON(w, http.StatusOK, reply)
 }
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -126,7 +88,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	binary, blockRows := wire.Negotiate(r.Header.Get("Accept"))
 	var rec *trace.Recorder
-	if wantTrace(q, r) {
+	if api.WantTrace(q, r) {
 		rec = trace.NewRecorder()
 	}
 	start := time.Now()
@@ -151,104 +113,18 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// streamed frame included — has been handed to the client.
 		defer reply.Done()
 	}
+	out := api.QueryReply{Project: q.Project, Start: start, Trace: rec,
+		Resp: api.QueryResponse{Count: reply.Count, Rows: reply.Rows, Columns: reply.Columns, Path: reply.Path.String()}}
+	if rec != nil {
+		out.Observe = s.observePhases // a method value allocates: only traced replies pay it
+	}
 	if binary {
-		s.writeBinary(w, q, reply, blockRows, start, rec)
-		return
+		err = out.WriteBinary(w, blockRows)
+	} else {
+		err = out.WriteJSON(w)
 	}
-	resp := api.QueryResponse{
-		Count:     reply.Count,
-		Rows:      reply.Rows,
-		Columns:   reply.Columns,
-		Path:      reply.Path.String(),
-		LatencyUs: time.Since(start).Microseconds(),
-	}
-	if rec == nil {
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	// The payload encode happens inside the wire_encode span, so the
-	// span tree can only be serialised afterwards: marshal the response
-	// without the trace, then splice the tree in as the final field.
-	rec.Begin(trace.PhaseEncode)
-	body, err := json.Marshal(resp)
-	rec.End(trace.Work{})
 	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error()})
-		return
-	}
-	root := rec.Finish()
-	s.observePhases(root)
-	spanJSON, err := json.Marshal(root)
-	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error()})
-		return
-	}
-	spliced := make([]byte, 0, len(body)+len(spanJSON)+16)
-	spliced = append(spliced, body[:len(body)-1]...) // drop the closing brace
-	spliced = append(spliced, `,"trace":`...)
-	spliced = append(spliced, spanJSON...)
-	spliced = append(spliced, '}')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(spliced); err != nil {
-		s.encodeFailed("json", err)
-	}
-}
-
-// writeBinary streams one successful query result in the binary
-// columnar format: a header frame, the rows and projected columns in
-// blocks of blockRows rows (one block when zero), and a footer. Each
-// frame is written — and, when the ResponseWriter supports it, flushed
-// — as a unit, so clients see complete frames as soon as the data
-// plane produces them instead of waiting for a fully materialised
-// body. Column vectors are sliced straight out of the engine result;
-// nothing is re-marshalled per value.
-//
-// For traced queries (rec non-nil) the header and block encoding is
-// timed as the wire_encode phase and the finished span tree rides in a
-// trace frame between the last block and the footer.
-func (s *Service) writeBinary(w http.ResponseWriter, q api.QueryRequest, reply Reply, blockRows int, start time.Time, rec *trace.Recorder) {
-	w.Header().Set("Content-Type", wire.ContentType)
-	enc := wire.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	if rec != nil {
-		rec.Begin(trace.PhaseEncode)
-	}
-	h := wire.Header{Count: reply.Count, Path: reply.Path.String(), Columns: q.Project}
-	if err := enc.WriteHeader(h); err != nil {
-		s.encodeFailed("binary", err)
-		return
-	}
-	res := engine.Result{Count: reply.Count, Rows: reply.Rows, Columns: reply.Columns}
-	err := res.Blocks(q.Project, blockRows, func(rows column.IDList, cols [][]column.Value) error {
-		if err := enc.WriteBlock(rows, cols); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-	if err != nil {
-		s.encodeFailed("binary", err)
-		return
-	}
-	if rec != nil {
-		rec.End(trace.Work{})
-		root := rec.Finish()
-		s.observePhases(root)
-		spanJSON, err := json.Marshal(root)
-		if err == nil {
-			err = enc.WriteTrace(spanJSON)
-		}
-		if err != nil {
-			s.encodeFailed("binary", err)
-			return
-		}
-	}
-	f := wire.Footer{TotalRows: uint64(len(reply.Rows)), LatencyUs: uint64(time.Since(start).Microseconds())}
-	if err := enc.WriteFooter(f); err != nil {
-		s.encodeFailed("binary", err)
+		s.encodeFailed(err)
 	}
 }
 
@@ -319,11 +195,10 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON writes one JSON reply, counting a failed encode.
 func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.encodeFailed("json", err)
+	if err := api.WriteJSON(w, status, v); err != nil {
+		s.encodeFailed(err)
 	}
 }
 
@@ -332,7 +207,7 @@ func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
 // failure surfaces, so all that is left is to count it (encode_failures
 // in /stats) and log it — silently dropping the error would make a
 // flapping client or a marshalling bug invisible.
-func (s *Service) encodeFailed(proto string, err error) {
+func (s *Service) encodeFailed(err error) {
 	s.encodeFailures.Add(1)
-	log.Printf("server: %s response encode failed: %v", proto, err)
+	log.Printf("server: response encode failed: %v", err)
 }

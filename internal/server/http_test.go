@@ -171,7 +171,7 @@ func TestHTTPStatsAndHealth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats status %d", resp.StatusCode)
 	}
-	var st Stats
+	var st api.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

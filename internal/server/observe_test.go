@@ -18,44 +18,78 @@ import (
 )
 
 // --- histogram edge cases -------------------------------------------
+//
+// The service keeps its latency in trace.Histogram and renders it
+// through trace.PromWriter; these tests pin the edges /stats and
+// /metrics rely on, through the histogram's exported surface.
+
+// promDoc renders h as one histogram family named x_seconds.
+func promDoc(h *trace.Histogram) string {
+	var p trace.PromWriter
+	p.Meta("x_seconds", "histogram", "test histogram.")
+	p.Histogram("x_seconds", "", h)
+	return p.String()
+}
+
+// bucketCounts returns the cumulative count of every finite bucket in
+// a promDoc document, keyed by its le label.
+func bucketCounts(t *testing.T, doc string) map[string]uint64 {
+	t.Helper()
+	out := make(map[string]uint64)
+	for _, line := range strings.Split(doc, "\n") {
+		if !strings.HasPrefix(line, "x_seconds_bucket") {
+			continue
+		}
+		le := line[strings.Index(line, `le="`)+4:]
+		le = le[:strings.Index(le, `"`)]
+		cum, err := strconv.ParseUint(strings.Fields(line)[1], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[le] = cum
+	}
+	return out
+}
 
 func TestHistogramZeroDuration(t *testing.T) {
-	var h histogram
-	h.observe(0)
-	if got := h.buckets[0].Load(); got != 1 {
+	var h trace.Histogram
+	h.Observe(0)
+	if got := bucketCounts(t, promDoc(&h))["0"]; got != 1 {
 		t.Fatalf("zero-duration observation not in bucket 0 (got %d)", got)
 	}
-	st := h.snapshot()
+	st := api.Latency(&h)
 	if st.Count != 1 || st.MaxUs != 0 || st.MeanUs != 0 {
 		t.Fatalf("snapshot after observe(0): %+v", st)
 	}
 	// The percentile resolves to bucket 0's upper bound, never to 0 or
 	// a garbage value.
-	if p := h.percentile(0.5); p != 1 {
-		t.Fatalf("p50 after observe(0) = %d, want 1", p)
+	if st.P50Us != 1 {
+		t.Fatalf("p50 after observe(0) = %d, want 1", st.P50Us)
 	}
 }
 
 func TestHistogramMaxBucketClamp(t *testing.T) {
-	var h histogram
-	h.observe(time.Duration(math.MaxInt64)) // ~292 years: past every bucket
-	for i := 0; i < histBuckets-1; i++ {
-		if h.buckets[i].Load() != 0 {
-			t.Fatalf("overflow observation leaked into bucket %d", i)
+	var h trace.Histogram
+	h.Observe(time.Duration(math.MaxInt64)) // ~292 years: past every bucket
+	buckets := bucketCounts(t, promDoc(&h))
+	last := strconv.FormatFloat(float64(uint64(1)<<47-1)/1e6, 'g', -1, 64)
+	for le, cum := range buckets {
+		if le != last && le != "+Inf" && cum != 0 {
+			t.Fatalf("overflow observation leaked into bucket le=%s", le)
 		}
 	}
-	if got := h.buckets[histBuckets-1].Load(); got != 1 {
-		t.Fatalf("overflow observation not clamped to last bucket (got %d)", got)
+	if got := buckets[last]; got != 1 {
+		t.Fatalf("overflow observation not clamped to the last bucket (got %d)", got)
 	}
-	if p := h.percentile(0.99); p != uint64(1)<<(histBuckets-1) {
-		t.Fatalf("p99 = %d, want the last bucket bound %d", p, uint64(1)<<(histBuckets-1))
+	if p := h.Percentile(0.99); p != uint64(1)<<47 {
+		t.Fatalf("p99 = %d, want the last bucket bound %d", p, uint64(1)<<47)
 	}
 }
 
-// TestHistogramConcurrentObserve exercises observe against percentile
+// TestHistogramConcurrentObserve exercises Observe against percentile
 // and snapshot readers; the -race build is the real assertion.
 func TestHistogramConcurrentObserve(t *testing.T) {
-	var h histogram
+	var h trace.Histogram
 	const writers, perWriter = 4, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -68,8 +102,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					h.percentile(0.95)
-					h.snapshot()
+					h.Percentile(0.95)
+					api.Latency(&h)
 				}
 			}
 		}()
@@ -80,14 +114,14 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		go func(w int) {
 			defer ww.Done()
 			for i := 0; i < perWriter; i++ {
-				h.observe(time.Duration(w*i) * time.Microsecond)
+				h.Observe(time.Duration(w*i) * time.Microsecond)
 			}
 		}(w)
 	}
 	ww.Wait()
 	close(stop)
 	wg.Wait()
-	if got := h.count.Load(); got != writers*perWriter {
+	if got := h.Count(); got != writers*perWriter {
 		t.Fatalf("count = %d, want %d", got, writers*perWriter)
 	}
 }
@@ -98,18 +132,15 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 // buckets (zero-duration and clamped-overflow observations included)
 // and checks the cumulative bucket series the way promtool would.
 func TestPromHistogramMonotonic(t *testing.T) {
-	var h histogram
-	h.observe(0)
-	h.observe(time.Microsecond)
+	var h trace.Histogram
+	h.Observe(0)
+	h.Observe(time.Microsecond)
 	for i := 0; i < 100; i++ {
-		h.observe(time.Duration(i*i) * time.Microsecond)
+		h.Observe(time.Duration(i*i) * time.Microsecond)
 	}
-	h.observe(time.Duration(math.MaxInt64))
+	h.Observe(time.Duration(math.MaxInt64))
 
-	var b strings.Builder
-	promMeta(&b, "x_seconds", "histogram", "test histogram.")
-	promHistSeries(&b, "x_seconds", "", &h)
-	doc := b.String()
+	doc := promDoc(&h)
 	if errs := trace.LintProm(strings.NewReader(doc)); len(errs) != 0 {
 		t.Fatalf("lint errors: %v\n%s", errs, doc)
 	}
@@ -145,20 +176,25 @@ func TestPromHistogramMonotonic(t *testing.T) {
 			count, _ = strconv.ParseUint(strings.Fields(line)[1], 10, 64)
 		}
 	}
-	if infCum != count || count != h.count.Load() {
-		t.Fatalf("+Inf bucket %d, _count %d, observed %d: must all agree", infCum, count, h.count.Load())
+	if infCum != count || count != h.Count() {
+		t.Fatalf("+Inf bucket %d, _count %d, observed %d: must all agree", infCum, count, h.Count())
 	}
 }
 
 func TestPromBoundIsExactBucketUpperBound(t *testing.T) {
 	// Bucket i holds integer microsecond values in [2^(i-1), 2^i); its
-	// largest member is 2^i - 1 µs, which promBound reports in seconds.
+	// largest member is 2^i - 1 µs, which its le label reports in
+	// seconds.
 	for _, tc := range []struct {
 		i    int
 		want float64
 	}{{0, 0}, {1, 1e-6}, {4, 15e-6}, {10, 1023e-6}} {
-		if got := promBound(tc.i); math.Abs(got-tc.want) > 1e-12 {
-			t.Fatalf("promBound(%d) = %g, want %g", tc.i, got, tc.want)
+		var h trace.Histogram
+		h.Observe(time.Duration(uint64(1)<<tc.i-1) * time.Microsecond)
+		le := strconv.FormatFloat(tc.want, 'g', -1, 64)
+		buckets := bucketCounts(t, promDoc(&h))
+		if buckets[le] != 1 || len(buckets) != tc.i+2 {
+			t.Fatalf("bucket %d: want the sample in le=%s as the last finite bucket, got %v", tc.i, le, buckets)
 		}
 	}
 }

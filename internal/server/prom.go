@@ -1,66 +1,22 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"adaptiveindex/internal/trace"
 )
 
 // This file renders the service's counters and histograms in the
-// Prometheus text exposition format (version 0.0.4) at /metrics, with
-// no client library: the service's metrics are all atomics and
-// log-scale histograms, so the exposition is a straight read-and-print.
-//
-// Naming: everything is prefixed crack_; cumulative counters end in
-// _total; durations are seconds. The log-scale histogram buckets map
-// exactly: bucket i holds integer microsecond durations in
-// [2^(i-1), 2^i), whose largest member — the Prometheus inclusive
-// upper bound — is 2^i - 1 µs.
+// Prometheus text exposition format at /metrics, through the shared
+// trace.PromWriter. Naming: everything is prefixed crack_; cumulative
+// counters end in _total; durations are seconds.
 
-// promContentType is the text exposition content type.
-const promContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// promBound is histogram bucket i's inclusive upper bound in seconds.
-func promBound(i int) float64 {
-	return float64(uint64(1)<<uint(i)-1) / 1e6
-}
-
-// promFloat renders a sample value the way Prometheus expects.
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// promMeta writes one family's HELP and TYPE lines.
-func promMeta(b *strings.Builder, name, typ, help string) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// promSample writes one sample line; labels is either empty or a
-// `key="value",` prefix for the le label.
-func promSample(b *strings.Builder, name, labels string, v float64) {
-	if labels == "" {
-		fmt.Fprintf(b, "%s %s\n", name, promFloat(v))
-	} else {
-		fmt.Fprintf(b, "%s{%s} %s\n", name, strings.TrimSuffix(labels, ","), promFloat(v))
-	}
-}
-
-// renderProm writes the full exposition document.
-func (s *Service) renderProm(b *strings.Builder) {
+func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
-
-	counter := func(name, help string, v float64) {
-		promMeta(b, name, "counter", help)
-		promSample(b, name, "", v)
-	}
-	gauge := func(name, help string, v float64) {
-		promMeta(b, name, "gauge", help)
-		promSample(b, name, "", v)
-	}
+	var p trace.PromWriter
+	counter, gauge := p.Counter, p.Gauge
 
 	counter("crack_queries_total", "Queries answered.", float64(st.Queries))
 	counter("crack_writes_total", "Write requests applied.", float64(st.Writes))
@@ -100,75 +56,30 @@ func (s *Service) renderProm(b *strings.Builder) {
 	}
 
 	if len(st.ShardStats) > 0 {
-		promMeta(b, "crack_shard_work_units_total", "counter", "Per-shard cumulative logical work (tuples touched).")
+		p.Meta("crack_shard_work_units_total", "counter", "Per-shard cumulative logical work (tuples touched).")
 		for _, ss := range st.ShardStats {
-			promSample(b, "crack_shard_work_units_total", fmt.Sprintf("shard=%q,", strconv.Itoa(ss.Shard)), float64(ss.WorkTotal))
+			p.Sample("crack_shard_work_units_total", trace.PromLabel("shard", strconv.Itoa(ss.Shard)), float64(ss.WorkTotal))
 		}
-		promMeta(b, "crack_shard_live_rows", "gauge", "Live tuples in each shard's row stripe.")
+		p.Meta("crack_shard_live_rows", "gauge", "Live tuples in each shard's row stripe.")
 		for _, ss := range st.ShardStats {
-			promSample(b, "crack_shard_live_rows", fmt.Sprintf("shard=%q,", strconv.Itoa(ss.Shard)), float64(ss.LiveRows))
+			p.Sample("crack_shard_live_rows", trace.PromLabel("shard", strconv.Itoa(ss.Shard)), float64(ss.LiveRows))
 		}
 	}
 
-	promMeta(b, "crack_query_latency_seconds", "histogram", "Server-side query latency, queueing included.")
-	promHistSeries(b, "crack_query_latency_seconds", "", &s.hist)
+	p.Meta("crack_query_latency_seconds", "histogram", "Server-side query latency, queueing included.")
+	p.Histogram("crack_query_latency_seconds", "", &s.hist)
 
-	promMeta(b, "crack_phase_latency_seconds", "histogram", "Per-phase latency of traced queries.")
-	for p := trace.Phase(0); p < trace.NumPhases; p++ {
-		h := &s.phases[p]
-		if h.count.Load() == 0 {
+	p.Meta("crack_phase_latency_seconds", "histogram", "Per-phase latency of traced queries.")
+	for ph := trace.Phase(0); ph < trace.NumPhases; ph++ {
+		h := &s.phases[ph]
+		if h.Count() == 0 {
 			continue
 		}
-		promHistSeries(b, "crack_phase_latency_seconds", fmt.Sprintf("phase=%q,", p.String()), h)
+		p.Histogram("crack_phase_latency_seconds", trace.PromLabel("phase", ph.String()), h)
 	}
-}
 
-// WriteProm writes the histogram's sample lines (buckets, sum, count)
-// as one Prometheus histogram series; the caller writes the HELP and
-// TYPE lines. labels is either empty or a `key="value",` prefix for
-// the le label. It is how front-ends without a Service (the multi-node
-// router) render their latency on the same bucket layout.
-func (h *Histogram) WriteProm(b *strings.Builder, name, labels string) {
-	promHistSeries(b, name, labels, &h.h)
-}
-
-// promHistSeries writes the sample lines of one histogram series.
-func promHistSeries(b *strings.Builder, name, labels string, h *histogram) {
-	var counts [histBuckets]uint64
-	last := 0
-	for i := 0; i < histBuckets; i++ {
-		counts[i] = h.buckets[i].Load()
-		if counts[i] > 0 {
-			last = i
-		}
-	}
-	count := h.count.Load()
-	sum := h.sum.Load()
-	var cum uint64
-	for i := 0; i <= last; i++ {
-		cum += counts[i]
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, labels, promFloat(promBound(i)), cum)
-	}
-	// count is read after the buckets; an in-flight observe may have
-	// bumped a bucket but not yet the count. Clamp so the +Inf bucket
-	// (which must equal _count) never dips below the cumulative series.
-	if count < cum {
-		count = cum
-	}
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, count)
-	bare := strings.TrimSuffix(labels, ",")
-	if bare != "" {
-		bare = "{" + bare + "}"
-	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, bare, promFloat(float64(sum)/1e6))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, bare, count)
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	s.renderProm(&b)
-	w.Header().Set("Content-Type", promContentType)
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		s.encodeFailed("metrics", err)
+	w.Header().Set("Content-Type", trace.PromContentType)
+	if _, err := io.WriteString(w, p.String()); err != nil {
+		s.encodeFailed(err)
 	}
 }

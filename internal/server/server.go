@@ -37,10 +37,10 @@
 // publishes fresh epochs. Writes and explicit-path queries stay
 // serialised exactly as before.
 //
-// The service also provides per-query latency histograms (p50/p95/p99),
-// an in-flight admission limit, an observable stats snapshot (catalog,
-// structures, planner state, scheduler counters), and snapshot/restore
-// of the engine's adaptive state through internal/persist.
+// The service also keeps latency in trace.Histograms, limits requests
+// in flight, serves an api.Stats snapshot (catalog, structures, planner
+// state, scheduler counters), replies through internal/api's writers,
+// and snapshots the engine's adaptive state through internal/persist.
 package server
 
 import (
@@ -161,20 +161,6 @@ type Reply struct {
 	Done func()
 }
 
-// WriteReply is the answer to one write request.
-type WriteReply struct {
-	// Inserted holds the row identifiers assigned to inserted rows, in
-	// submission order across all ops of the request.
-	Inserted []column.RowID
-	// Deleted is the number of rows deleted.
-	Deleted int
-	// PendingInserts and PendingDeletes echo the engine-wide buffered
-	// update depth after the request, so writers can observe merge
-	// backpressure.
-	PendingInserts int
-	PendingDeletes int
-}
-
 // op selects what a request wants from the engine.
 type op uint8
 
@@ -205,9 +191,9 @@ type request struct {
 // result is the executor's answer to one request.
 type result struct {
 	reply Reply
-	write WriteReply
+	write api.UpdateResponse
 	err   error
-	stats *Stats
+	stats *api.Stats
 }
 
 // intentReq is one queued crack intent plus its enqueue time, so the
@@ -261,10 +247,10 @@ type Service struct {
 	// client failed (connection resets included) — a response the client
 	// never saw, on either the JSON or the binary path.
 	encodeFailures atomic.Uint64
-	hist           histogram
+	hist           trace.Histogram
 	// phases aggregates traced queries' span durations per phase;
 	// traced counts how many queries asked for tracing.
-	phases  [trace.NumPhases]histogram
+	phases  [trace.NumPhases]trace.Histogram
 	traced  atomic.Uint64
 	events  *trace.Log
 	started time.Time
@@ -291,11 +277,11 @@ func NewService(cfg Config) (*Service, error) {
 		return nil, errors.New("server: catalog has no tables")
 	}
 	if cfg.DefaultTable == "" {
-		cfg.DefaultTable = tables[0].Name
+		cfg.DefaultTable = tables[0].Table
 	}
-	var defTable *engine.TableInfo
+	var defTable *api.TableStats
 	for i := range tables {
-		if tables[i].Name == cfg.DefaultTable {
+		if tables[i].Table == cfg.DefaultTable {
 			defTable = &tables[i]
 			break
 		}
@@ -439,13 +425,13 @@ var ErrEmptyWrite = errors.New("server: write op needs either rows to insert or 
 // An empty table name falls back to the service default. Ops apply in
 // order; on error the already-applied prefix stays applied and the
 // error is returned.
-func (s *Service) Apply(ops []api.WriteOp) (WriteReply, error) {
+func (s *Service) Apply(ops []api.WriteOp) (api.UpdateResponse, error) {
 	if len(ops) == 0 {
-		return WriteReply{}, ErrEmptyWrite
+		return api.UpdateResponse{}, ErrEmptyWrite
 	}
 	for i := range ops {
 		if (len(ops[i].Insert) == 0) == (len(ops[i].Delete) == 0) {
-			return WriteReply{}, ErrEmptyWrite
+			return api.UpdateResponse{}, ErrEmptyWrite
 		}
 		if ops[i].Table == "" {
 			ops[i].Table = s.cfg.DefaultTable
@@ -454,7 +440,7 @@ func (s *Service) Apply(ops []api.WriteOp) (WriteReply, error) {
 	if s.inFlight.Add(1) > int64(s.cfg.MaxInFlight) {
 		s.inFlight.Add(-1)
 		s.rejected.Add(1)
-		return WriteReply{}, ErrOverloaded
+		return api.UpdateResponse{}, ErrOverloaded
 	}
 	defer s.inFlight.Add(-1)
 
@@ -464,7 +450,7 @@ func (s *Service) Apply(ops []api.WriteOp) (WriteReply, error) {
 		select {
 		case s.queue <- req:
 		case <-s.closed:
-			return WriteReply{}, ErrClosed
+			return api.UpdateResponse{}, ErrClosed
 		}
 		select {
 		case res = <-req.resp:
@@ -472,13 +458,13 @@ func (s *Service) Apply(ops []api.WriteOp) (WriteReply, error) {
 			select {
 			case res = <-req.resp:
 			default:
-				return WriteReply{}, ErrClosed
+				return api.UpdateResponse{}, ErrClosed
 			}
 		}
 	} else {
 		select {
 		case <-s.closed:
-			return WriteReply{}, ErrClosed
+			return api.UpdateResponse{}, ErrClosed
 		default:
 		}
 		s.mu.Lock()
@@ -504,7 +490,7 @@ func (s *Service) Apply(ops []api.WriteOp) (WriteReply, error) {
 // executeWrite applies one write request against the executor
 // directly.
 func (s *Service) executeWrite(ops []api.WriteOp) result {
-	var reply WriteReply
+	var reply api.UpdateResponse
 	for _, op := range ops {
 		for _, vals := range op.Insert {
 			row, err := s.exec.InsertRow(op.Table, vals)
@@ -603,7 +589,7 @@ func (s *Service) do(o op, q Query, rec *trace.Recorder) (Reply, error) {
 		return Reply{}, res.err
 	}
 	s.queries.Add(1)
-	s.hist.observe(time.Since(start))
+	s.hist.Observe(time.Since(start))
 	return res.reply, nil
 }
 
@@ -684,7 +670,7 @@ func (s *Service) reorganise(first *intentReq) {
 		// against a published epoch, so application cannot fail on a
 		// static catalog; an error here would only repeat on retry.
 		_ = s.exec.ApplyIntent(in.in)
-		s.phases[trace.PhaseReorgApply].observe(time.Since(applied))
+		s.phases[trace.PhaseReorgApply].Observe(time.Since(applied))
 		in = nil
 		if time.Since(start) < reorgBudget {
 			select {
@@ -1007,7 +993,7 @@ func (s *Service) observePhases(root *trace.Span) {
 	var walk func(sp *trace.Span)
 	walk = func(sp *trace.Span) {
 		if int(sp.Phase) < len(s.phases) {
-			s.phases[sp.Phase].observe(time.Duration(sp.DurUs) * time.Microsecond)
+			s.phases[sp.Phase].Observe(time.Duration(sp.DurUs) * time.Microsecond)
 		}
 		for _, c := range sp.Spans {
 			walk(c)
@@ -1049,7 +1035,7 @@ func (s *Service) String() string {
 	}
 	var tables []string
 	for _, ti := range s.exec.Tables() {
-		tables = append(tables, ti.Name)
+		tables = append(tables, ti.Table)
 	}
 	desc := fmt.Sprintf("server{tables=%s default=%s.%s path=%s %s inflight<=%d}",
 		strings.Join(tables, ","), s.cfg.DefaultTable, s.cfg.DefaultColumn, s.defaultPath, mode, s.cfg.MaxInFlight)

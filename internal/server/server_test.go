@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/core"
 	"adaptiveindex/internal/engine"
@@ -179,7 +180,7 @@ func TestBatchingBeatsDirectDispatch(t *testing.T) {
 		streams[g] = workload.Queries(workload.NewHotSetFrom(pool, int64(g+1), 1.6), perSession)
 	}
 
-	run := func(window time.Duration) (Stats, uint64) {
+	run := func(window time.Duration) (api.Stats, uint64) {
 		eng, _ := testEngine(t, n)
 		svc := newTestService(t, eng, window, "cracking")
 		var wg sync.WaitGroup
@@ -450,7 +451,7 @@ func TestSnapshotRestoreCycle(t *testing.T) {
 	// structure has not seen their bounds yet. The second replay must
 	// add nothing — the restored knowledge converges instead of being
 	// re-learned.
-	replay := func() Stats {
+	replay := func() api.Stats {
 		for _, r := range queries {
 			reply, err := restored.SelectQuery(Query{R: r, Project: []string{"c1"}})
 			if err != nil {
@@ -509,12 +510,12 @@ func TestRestoresSnapshotsListingParallel(t *testing.T) {
 	for _, c := range []struct {
 		file   string
 		shards int
-		want   engine.StructureStats
+		want   api.StructureStats
 	}{
 		{"engine_listing_parallel.snap", 1,
-			engine.StructureStats{Crackers: 1, MapSets: 1, CrackerPieces: 16, MapPieces: 65, Pieces: 81}},
+			api.StructureStats{Crackers: 1, MapSets: 1, CrackerPieces: 16, MapPieces: 65, Pieces: 81}},
 		{"cluster2_listing_parallel.snap", 2,
-			engine.StructureStats{Crackers: 2, MapSets: 2, CrackerPieces: 32, MapPieces: 128, Pieces: 160}},
+			api.StructureStats{Crackers: 2, MapSets: 2, CrackerPieces: 32, MapPieces: 128, Pieces: 160}},
 	} {
 		cat, err := BuildCatalog(specs, 7, 0)
 		if err != nil {

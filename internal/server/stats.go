@@ -1,74 +1,34 @@
 package server
 
 import (
-	"runtime"
 	"time"
 
 	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/trace"
 )
 
-// The /stats payload shapes live in internal/api (the shared wire
-// contract); the server aliases them so existing call sites and tests
-// keep compiling against server.Stats and friends.
-type (
-	// TableStats describes one catalog table.
-	TableStats = api.TableStats
-	// PhaseStats is the latency summary of one execution phase.
-	PhaseStats = api.PhaseStats
-	// ProcessStats is process-level health.
-	ProcessStats = api.ProcessStats
-	// EventLogStats describes the reorganisation event ring.
-	EventLogStats = api.EventLogStats
-	// Stats is the service's observable state, served by /stats.
-	Stats = api.Stats
-	// ReorgStats describes the epoch read machinery behind Readers > 1.
-	ReorgStats = api.ReorgStats
-	// LatencyStats summarises a latency distribution.
-	LatencyStats = api.LatencyStats
-)
-
 // statsLocked assembles a Stats snapshot; the executor portion requires
 // the caller to have safe access to the executor (the executor
 // goroutine in batched mode, s.mu in direct mode).
-func (s *Service) statsLocked() Stats {
+func (s *Service) statsLocked() api.Stats {
 	mode := "direct"
 	if s.batched {
 		mode = "batched"
 	}
-	infos := s.exec.Tables()
-	tables := make([]TableStats, 0, len(infos))
-	for _, ti := range infos {
-		tables = append(tables, TableStats{
-			Table:       ti.Name,
-			Rows:        ti.Rows,
-			LiveRows:    ti.LiveRows,
-			Columns:     ti.Columns,
-			MergePolicy: ti.MergePolicy,
-		})
-	}
-	var phases []PhaseStats
+	var phases []api.PhaseStats
 	for p := trace.Phase(0); p < trace.NumPhases; p++ {
-		ls := s.phases[p].snapshot()
-		if ls.Count == 0 {
+		if s.phases[p].Count() == 0 {
 			continue
 		}
-		phases = append(phases, PhaseStats{Phase: p.String(), Latency: ls})
+		phases = append(phases, api.PhaseStats{Phase: p.String(), Latency: api.Latency(&s.phases[p])})
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	proc := ProcessStats{
-		Goroutines:     runtime.NumGoroutine(),
-		HeapAllocBytes: ms.HeapAlloc,
-		GCPauseTotalUs: ms.PauseTotalNs / 1000,
-		NumGC:          ms.NumGC,
-	}
+	proc := api.ReadProcessStats()
 	if !s.cfg.SnapshotTime.IsZero() {
 		proc.SnapshotAgeSeconds = time.Since(s.cfg.SnapshotTime).Seconds()
 	}
-	var reorg *ReorgStats
+	var reorg *api.ReorgStats
 	if s.readers > 1 {
-		reorg = &ReorgStats{
+		reorg = &api.ReorgStats{
 			Epoch:          s.exec.EpochStats(),
 			Backlog:        len(s.intents),
 			IntentsQueued:  s.intentsQueued.Load(),
@@ -76,8 +36,8 @@ func (s *Service) statsLocked() Stats {
 			LagUs:          s.reorgLagUs.Load(),
 		}
 	}
-	return Stats{
-		Tables:         tables,
+	return api.Stats{
+		Tables:         s.exec.Tables(),
 		Structures:     s.exec.Structures(),
 		Planner:        s.exec.PlanStats(),
 		WorkTotal:      s.exec.Cost().Total(),
@@ -97,7 +57,7 @@ func (s *Service) statsLocked() Stats {
 		EncodeFailures: s.encodeFailures.Load(),
 		InFlight:       s.inFlight.Load(),
 		MaxInFlight:    s.cfg.MaxInFlight,
-		Latency:        s.hist.snapshot(),
+		Latency:        api.Latency(&s.hist),
 		TracedQueries:  s.traced.Load(),
 		Phases:         phases,
 		Shards:         s.exec.Shards(),
@@ -105,7 +65,7 @@ func (s *Service) statsLocked() Stats {
 		Readers:        s.readers,
 		Reorg:          reorg,
 		Process:        proc,
-		EventLog:       EventLogStats{LastSeq: s.events.LastSeq(), Capacity: s.events.Capacity()},
+		EventLog:       api.EventLogStats{LastSeq: s.events.LastSeq(), Capacity: s.events.Capacity()},
 		UptimeSeconds:  time.Since(s.started).Seconds(),
 	}
 }
@@ -114,7 +74,7 @@ func (s *Service) statsLocked() Stats {
 // structures and planner state. In batched mode the snapshot is taken
 // by the executor between batches, so the engine portion is consistent;
 // admission is bypassed so stats stay available under overload.
-func (s *Service) Stats() Stats {
+func (s *Service) Stats() api.Stats {
 	select {
 	case <-s.closed:
 		// Closed and drained: the engine is quiescent.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,8 +268,11 @@ func (f *failingWriter) WriteHeader(int)           {}
 func TestEncodeFailuresAreCounted(t *testing.T) {
 	eng, _ := testEngine(t, 1000)
 	svc := newTestService(t, eng, 0, "auto")
-	svc.writeJSON(&failingWriter{header: make(http.Header)}, http.StatusOK, map[string]int{"x": 1})
-	svc.writeBinary(&failingWriter{header: make(http.Header)}, api.QueryRequest{}, Reply{Count: 1, Rows: column.IDList{1}}, 0, time.Now(), nil)
+	for _, accept := range []string{"application/json", wire.ContentType} {
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"op":"select","low":1,"high":100}`))
+		req.Header.Set("Accept", accept)
+		svc.Handler().ServeHTTP(&failingWriter{header: make(http.Header)}, req)
+	}
 	if got := svc.Stats().EncodeFailures; got != 2 {
 		t.Fatalf("encode_failures = %d, want 2", got)
 	}

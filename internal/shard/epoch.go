@@ -15,6 +15,7 @@ package shard
 import (
 	"sync"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/engine"
 	"adaptiveindex/internal/trace"
 )
@@ -113,34 +114,21 @@ func (c *Cluster) EpochRead(q engine.Query) (*engine.Result, engine.EpochInfo, e
 			info.NeedsReorg = true
 		}
 	}
-	parts := make([]StripeResult, len(results))
-	for s, r := range results {
-		parts[s] = StripeResult{Count: r.Count, Rows: r.Rows, Columns: r.Columns}
-	}
-	merged := MergeStriped(parts, q.Project, q.CountOnly)
-	out := &engine.Result{
-		Path: results[0].Path, Count: merged.Count,
-		Rows: merged.Rows, Columns: merged.Columns,
-	}
-	return out, info, nil
+	return merge(results, q), info, nil
 }
 
 // EpochStats sums the epoch machinery's counters over the shards;
 // Seq and Pins report shard 0 (every shard publishes in lockstep, so
 // shard 0 is representative).
-func (c *Cluster) EpochStats() engine.EpochStats {
-	var agg engine.EpochStats
+func (c *Cluster) EpochStats() api.EpochStats {
+	var agg api.EpochStats
 	for s, e := range c.shards {
 		st := e.EpochStats()
 		if s == 0 {
 			agg.Seq = st.Seq
 			agg.Pins = st.Pins
 		}
-		agg.Published += st.Published
-		agg.Retired += st.Retired
-		agg.IntentsApplied += st.IntentsApplied
-		agg.Reads += st.Reads
-		agg.ReadWork += st.ReadWork
+		agg.Add(st)
 	}
 	return agg
 }

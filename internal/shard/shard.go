@@ -18,13 +18,14 @@
 // Every read fans out to all N shards (a stripe holds a slice of every
 // value range, so no shard can be pruned), runs the same query on each
 // shard's 1/N-sized adaptive structures, and merges the per-shard
-// counts, ID-lists and projections; each shard pays ~1/N of the
-// single-engine cracking and materialisation work, concurrently.
-// Writes route to the single owning shard. The per-shard engines stay
-// single-threaded: a Cluster, like an Engine, is NOT safe for
-// concurrent use — the batch scheduler in internal/server (or any
-// other single caller) serialises operations against it, and each
-// operation internally fans out to short-lived per-shard goroutines.
+// counts, ID-lists and projections with internal/api's stripe contract,
+// which the router shares; each shard pays ~1/N of the single-engine
+// cracking and materialisation work, concurrently. Writes route to the
+// single owning shard. The per-shard engines stay single-threaded: a
+// Cluster, like an Engine, is NOT safe for concurrent use — the batch
+// scheduler in internal/server (or any other single caller) serialises
+// operations against it, and each operation fans out to short-lived
+// per-shard goroutines.
 package shard
 
 import (
@@ -32,6 +33,7 @@ import (
 	"io"
 	"sync"
 
+	"adaptiveindex/internal/api"
 	"adaptiveindex/internal/column"
 	"adaptiveindex/internal/core"
 	"adaptiveindex/internal/cost"
@@ -40,33 +42,6 @@ import (
 	"adaptiveindex/internal/trace"
 	"adaptiveindex/internal/updates"
 )
-
-// The striping contract, shared by the in-process Cluster and the
-// multi-node router (internal/router), which applies the identical
-// arithmetic over the wire: global row g lives on stripe g mod N at
-// local identifier g div N, and appends in global order always land at
-// the next local slot of the owning stripe.
-
-// Owner returns the stripe owning global row g among n stripes.
-func Owner(g, n int) int { return g % n }
-
-// Local returns global row g's local identifier on its owning stripe.
-func Local(g, n int) int { return g / n }
-
-// Global maps a stripe-local row identifier back to the global space:
-// global = local*N + stripe.
-func Global(local column.RowID, stripe, n int) column.RowID {
-	return local*column.RowID(n) + column.RowID(stripe)
-}
-
-// Globalize appends the global identifiers of one stripe's local rows
-// to out, in order.
-func Globalize(rows column.IDList, stripe, n int, out column.IDList) column.IDList {
-	for _, l := range rows {
-		out = append(out, Global(l, stripe, n))
-	}
-	return out
-}
 
 // Stripe extracts stripe s of n from cat's base data: each table keeps
 // its schema, and stripe s owns global rows s, s+n, s+2n, … as its
@@ -117,50 +92,15 @@ func Stripe(cat *engine.Catalog, s, n int) (*engine.Catalog, error) {
 	return out, nil
 }
 
-// StripeResult is one stripe's contribution to a scatter-gather read:
-// the qualifying count, the stripe-local row identifiers, and the
-// projected values aligned with them. It is deliberately minimal so
-// both an in-process engine.Result and a decoded wire response can be
-// merged by the same code.
-type StripeResult struct {
-	Count   int
-	Rows    column.IDList
-	Columns map[string][]column.Value
-}
+// StripeResult and MergeStriped forward to the striping contract in
+// internal/api, which the Cluster and the router share. They stay
+// exported here because the benchmark harness names them as
+// shard.StripeResult and shard.MergeStriped.
+type StripeResult = api.StripeResult
 
-// MergeStriped merges per-stripe results (parts[s] is stripe s of
-// len(parts)) into one global result: counts are summed, row
-// identifiers are mapped to the global space and concatenated in
-// stripe order, and projected columns follow their rows. countOnly
-// skips row and projection assembly. A nil part contributes nothing —
-// the router uses that for stripes whose node is down (the answer is
-// then explicitly partial).
+// MergeStriped merges per-stripe results; see api.MergeStriped.
 func MergeStriped(parts []StripeResult, project []string, countOnly bool) StripeResult {
-	n := len(parts)
-	var out StripeResult
-	total := 0
-	for _, p := range parts {
-		out.Count += p.Count
-		total += len(p.Rows)
-	}
-	if countOnly {
-		return out
-	}
-	out.Rows = make(column.IDList, 0, total)
-	for s, p := range parts {
-		out.Rows = Globalize(p.Rows, s, n, out.Rows)
-	}
-	if len(project) > 0 {
-		out.Columns = make(map[string][]column.Value, len(project))
-		for _, col := range project {
-			merged := make([]column.Value, 0, total)
-			for _, p := range parts {
-				merged = append(merged, p.Columns[col]...)
-			}
-			out.Columns[col] = merged
-		}
-	}
-	return out
+	return api.MergeStriped(parts, project, countOnly)
 }
 
 // Cluster fronts N row-striped engine shards. Construct it with New;
@@ -258,15 +198,7 @@ func (c *Cluster) Run(q engine.Query) (*engine.Result, error) {
 		}
 	}
 
-	parts := make([]StripeResult, len(results))
-	for s, r := range results {
-		parts[s] = StripeResult{Count: r.Count, Rows: r.Rows, Columns: r.Columns}
-	}
-	merged := MergeStriped(parts, q.Project, q.CountOnly)
-	out := &engine.Result{
-		Path: results[0].Path, Count: merged.Count,
-		Rows: merged.Rows, Columns: merged.Columns,
-	}
+	out := merge(results, q)
 	if rec != nil {
 		// The gather span's children are the slowest shard's engine
 		// phases — the ones on the query's critical path — and its work
@@ -288,6 +220,17 @@ func (c *Cluster) Run(q engine.Query) (*engine.Result, error) {
 	return out, nil
 }
 
+// merge combines per-shard results, in shard order, into one global
+// result (see api.MergeStriped).
+func merge(results []*engine.Result, q engine.Query) *engine.Result {
+	parts := make([]api.StripeResult, len(results))
+	for s, r := range results {
+		parts[s] = api.StripeResult{Count: r.Count, Rows: r.Rows, Columns: r.Columns}
+	}
+	m := api.MergeStriped(parts, q.Project, q.CountOnly)
+	return &engine.Result{Path: results[0].Path, Count: m.Count, Rows: m.Rows, Columns: m.Columns}
+}
+
 // InsertRow appends one row to the table, returning its global row
 // identifier. The row lands on shard g mod N, where g is the next
 // global row slot; by the striping invariant the owning shard's local
@@ -298,13 +241,13 @@ func (c *Cluster) InsertRow(table string, vals []column.Value) (column.RowID, er
 		// Unknown table: let a shard engine produce the canonical error.
 		return c.shards[0].InsertRow(table, vals)
 	}
-	s := Owner(g, len(c.shards))
+	s := api.Owner(g, len(c.shards))
 	local, err := c.shards[s].InsertRow(table, vals)
 	if err != nil {
 		return 0, err
 	}
 	c.nrows[table] = g + 1
-	want := column.RowID(Local(g, len(c.shards)))
+	want := column.RowID(api.Local(g, len(c.shards)))
 	if local != want {
 		panic(fmt.Sprintf("shard: stripe invariant broken: table %q global row %d landed at local %d on shard %d, want %d",
 			table, g, local, s, want))
@@ -321,28 +264,21 @@ func (c *Cluster) DeleteRow(table string, row column.RowID) error {
 // Tables aggregates the catalog summary across shards: row and
 // live-row counts are summed over the stripes; schema and merge policy
 // are identical on every shard and reported from shard 0.
-func (c *Cluster) Tables() []engine.TableInfo {
+func (c *Cluster) Tables() []api.TableStats {
 	infos := c.shards[0].Tables()
 	for s := 1; s < len(c.shards); s++ {
 		for i, ti := range c.shards[s].Tables() {
-			infos[i].Rows += ti.Rows
-			infos[i].LiveRows += ti.LiveRows
+			infos[i].Add(ti)
 		}
 	}
 	return infos
 }
 
 // Structures sums the adaptive-structure inventory over the shards.
-func (c *Cluster) Structures() engine.StructureStats {
-	var agg engine.StructureStats
+func (c *Cluster) Structures() api.StructureStats {
+	var agg api.StructureStats
 	for _, e := range c.shards {
-		s := e.Structures()
-		agg.Crackers += s.Crackers
-		agg.MapSets += s.MapSets
-		agg.CrackerPieces += s.CrackerPieces
-		agg.MapPieces += s.MapPieces
-		agg.Pieces += s.Pieces
-		agg.MapHistory += s.MapHistory
+		agg.Add(e.Structures())
 	}
 	return agg
 }
@@ -351,7 +287,7 @@ func (c *Cluster) Structures() engine.StructureStats {
 // shard sees the same query stream over the same data distribution, so
 // the planners converge on the same choices; reporting one keeps the
 // surface identical to a single engine's.
-func (c *Cluster) PlanStats() []engine.PlanStats { return c.shards[0].PlanStats() }
+func (c *Cluster) PlanStats() []api.PlanStats { return c.shards[0].PlanStats() }
 
 // Cost sums the cumulative logical work over the shards, in shard
 // order. Each shard's counters are deterministic for a given stream,
@@ -365,29 +301,22 @@ func (c *Cluster) Cost() cost.Counters {
 }
 
 // WriteStats sums the write-path state over the shards.
-func (c *Cluster) WriteStats() engine.WriteStats {
-	var agg engine.WriteStats
+func (c *Cluster) WriteStats() api.WriteStats {
+	var agg api.WriteStats
 	for _, e := range c.shards {
-		ws := e.WriteStats()
-		agg.Inserts += ws.Inserts
-		agg.Deletes += ws.Deletes
-		agg.Invalidations += ws.Invalidations
-		agg.PendingInserts += ws.PendingInserts
-		agg.PendingDeletes += ws.PendingDeletes
-		agg.MergedInserts += ws.MergedInserts
-		agg.MergedDeletes += ws.MergedDeletes
+		agg.Add(e.WriteStats())
 	}
 	return agg
 }
 
 // ShardStats reports each shard's stripe size, logical work and
 // pending-update depth, so stripe or write skew is visible.
-func (c *Cluster) ShardStats() []engine.ShardStat {
-	out := make([]engine.ShardStat, len(c.shards))
+func (c *Cluster) ShardStats() []api.ShardStat {
+	out := make([]api.ShardStat, len(c.shards))
 	for s, e := range c.shards {
 		cc := e.Cost()
 		ws := e.WriteStats()
-		st := engine.ShardStat{
+		st := api.ShardStat{
 			Shard:          s,
 			WorkTotal:      cc.Total(),
 			MergeWork:      cc.MergeWork,
@@ -475,16 +404,8 @@ func (c *Cluster) Restore(states []engine.State) error {
 	// Appended rows arrived through the cluster's global row space:
 	// recover each table's global slot count as the sum of the shard
 	// slot counts (the stripes partition the global identifiers).
-	for name := range c.nrows {
-		total := 0
-		for _, e := range c.shards {
-			for _, ti := range e.Tables() {
-				if ti.Name == name {
-					total += ti.Rows
-				}
-			}
-		}
-		c.nrows[name] = total
+	for _, ti := range c.Tables() {
+		c.nrows[ti.Table] = ti.Rows
 	}
 	return nil
 }

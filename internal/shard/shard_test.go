@@ -186,7 +186,7 @@ func TestClusterMatchesEngineDirect(t *testing.T) {
 			et, ct := eng.Tables(), cl.Tables()
 			for i := range et {
 				if et[i].Rows != ct[i].Rows || et[i].LiveRows != ct[i].LiveRows {
-					t.Fatalf("table %s: cluster %d/%d rows, engine %d/%d", et[i].Name,
+					t.Fatalf("table %s: cluster %d/%d rows, engine %d/%d", et[i].Table,
 						ct[i].Rows, ct[i].LiveRows, et[i].Rows, et[i].LiveRows)
 				}
 			}
@@ -434,7 +434,7 @@ func TestShardedServiceMatchesSingleHTTP(t *testing.T) {
 
 			// The sharded /stats must expose the per-shard breakdown and a
 			// row partition that sums to the whole table.
-			var st server.Stats
+			var st api.Stats
 			resp, err := http.Get(sharded.URL + "/stats")
 			if err != nil {
 				t.Fatal(err)
